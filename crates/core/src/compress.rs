@@ -14,12 +14,14 @@
 //! cumulative: a parent already includes its children's points). Priorities
 //! therefore never go stale within a pass and a plain binary min-heap
 //! computes the same result as recomputing SSEG after every removal.
+//!
+//! The heap loop itself is the fleet eviction pass ([`crate::fleet`]):
+//! compressing one tree is fleet eviction over a single model of
+//! weight 1.0.
 
-use crate::node::NIL;
+use crate::fleet::{evict_pass, FleetModel};
 use crate::tree::MemoryLimitedQuadtree;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Outcome of one compression pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,44 +30,6 @@ pub struct CompressionReport {
     pub nodes_freed: usize,
     /// Accounted bytes reclaimed (node structs plus dropped child arrays).
     pub bytes_freed: usize,
-}
-
-/// Heap entry ordered by ascending SSEG; ties broken by the leaf's root
-/// path so the pass is deterministic (the paper breaks ties arbitrarily).
-///
-/// The tie-break must be *structure-intrinsic*: arena indices are
-/// recycled by eviction and renumbered by a snapshot restore, so two
-/// behaviorally identical trees can disagree on them. The slot path from
-/// the root depends only on which blocks exist — a restored tree evicts
-/// exactly the leaves the live tree would have, which is what the serving
-/// layer's crash-recovery equivalence invariant rests on.
-struct Candidate {
-    sseg: f64,
-    path: Vec<u16>,
-    node: u32,
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // SSEG values are finite: summaries only ever hold finite data
-        // (inserts reject NaN/inf), so total_cmp is a plain total order.
-        // Distinct live nodes have distinct paths, so the order is total.
-        self.sseg.total_cmp(&other.sseg).then_with(|| self.path.cmp(&other.path))
-    }
 }
 
 impl MemoryLimitedQuadtree {
@@ -93,59 +57,24 @@ impl MemoryLimitedQuadtree {
     /// before serializing optimizer metadata).
     pub fn compress(&mut self) -> CompressionReport {
         let start = std::time::Instant::now();
-        let gamma_target =
-            (self.config().gamma * self.config().memory_budget as f64).ceil() as usize;
         let budget = self.config().memory_budget;
-
-        // Fig. 6 line 1: every leaf enters the priority queue keyed by SSEG.
-        let mut heap: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
-        let root = self.root;
-        let mut seed: Vec<(u32, f64)> = Vec::new();
-        for (idx, node) in self.arena.iter_live() {
-            if idx == root || !node.is_leaf() {
-                continue;
-            }
-            let parent_avg = self.arena.get(node.parent).summary.avg();
-            seed.push((idx, node.summary.sseg(parent_avg)));
-        }
-        for (idx, sseg) in seed {
-            let path = self.root_path(idx);
-            heap.push(Reverse(Candidate { sseg, path, node: idx }));
-        }
-
-        let mut freed = 0usize;
-        let mut nodes_freed = 0usize;
-        // Fig. 6 line 2, with the operational extension that the pass also
-        // keeps going until the tree actually fits its budget again.
-        while freed < gamma_target || self.bytes_used > budget {
-            let Some(Reverse(Candidate { node, .. })) = heap.pop() else {
-                break; // PQ exhausted: only the root remains
-            };
-            let (bytes, newly_leaf) = self.evict_leaf(node);
-            freed += bytes;
-            nodes_freed += 1;
-            // Fig. 6 lines 5-7: a parent that became a leaf joins the queue
-            // (unless it is the root).
-            if let Some(parent) = newly_leaf {
-                if parent != root {
-                    let grand = self.arena.get(parent).parent;
-                    debug_assert_ne!(grand, NIL);
-                    let parent_avg = self.arena.get(grand).summary.avg();
-                    let sseg = self.arena.get(parent).summary.sseg(parent_avg);
-                    let path = self.root_path(parent);
-                    heap.push(Reverse(Candidate { sseg, path, node: parent }));
-                }
-            }
-        }
+        let gamma_target = (self.config().gamma * budget as f64).ceil() as usize;
+        // Fig. 6 is the fleet pass over one model: with weight 1.0 the key
+        // `1.0 · SSEG` is SSEG exactly, so the eviction order is
+        // `(SSEG, root path)`. Line 2 frees at least `γ` of the budget,
+        // with the operational extension that the pass also keeps going
+        // until the tree actually fits its budget again.
+        let report =
+            evict_pass(&mut [FleetModel { weight: 1.0, model: self }], budget, gamma_target);
 
         // A compression has now happened, whatever triggered it: the lazy
         // strategy's SSE threshold (Eq. 7) is in force from here on.
         self.set_had_compression(true);
         self.note_compression(
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            nodes_freed as u64,
+            report.nodes_freed as u64,
         );
-        CompressionReport { nodes_freed, bytes_freed: freed }
+        CompressionReport { nodes_freed: report.nodes_freed, bytes_freed: report.bytes_freed }
     }
 }
 

@@ -13,13 +13,14 @@
 //! with the least traffic-weighted error contribution first: cold
 //! models give up detail before hot models give up anything.
 //!
-//! Determinism carries over from single-model compression: candidates
-//! are totally ordered by `(key, weight, model index, root path)`, where
-//! the root path is the same structure-intrinsic identity the PR-5
-//! tie-break uses, and the model index is the caller's (sorted) model
-//! ordering. Priorities never go stale within a pass for the same
-//! reason as in [`crate::compress`]: summaries are cumulative, so
-//! evicting one model's leaf changes no other candidate's key.
+//! This module holds the crate's only SSEG eviction loop: single-model
+//! compression ([`crate::compress`]) is the same pass over one model of
+//! weight 1.0. Candidates are totally ordered by
+//! `(key, weight, model index, root path)`, where the root path is a
+//! structure-intrinsic leaf identity and the model index is the caller's
+//! (sorted) model ordering. Priorities never go stale within a pass:
+//! summaries are cumulative, so evicting one leaf changes no other
+//! candidate's key.
 
 use crate::node::NIL;
 use crate::tree::MemoryLimitedQuadtree;
@@ -98,7 +99,7 @@ impl MemoryLimitedQuadtree {
     }
 }
 
-/// Heap entry for the global pass. Ordered ascending by
+/// Heap entry for the eviction pass. Ordered ascending by
 /// `(key, weight, model, path)`:
 ///
 /// * `key = weight · sseg` — the traffic-weighted accuracy cost of the
@@ -106,8 +107,15 @@ impl MemoryLimitedQuadtree {
 /// * `weight` next, so a traffic-zero model's leaves (key `0.0`
 ///   regardless of SSEG) drain before a hot model's zero-SSEG leaves
 ///   (also key `0.0`, but positive weight);
-/// * the caller's model index, then the PR-5 root path, so the order is
-///   total and snapshot-stable.
+/// * the caller's model index, then the leaf's root path, so the order
+///   is total and snapshot-stable.
+///
+/// The path tie-break must be *structure-intrinsic*: arena indices are
+/// recycled by eviction and renumbered by a snapshot restore, so two
+/// behaviorally identical trees can disagree on them. The slot path from
+/// the root depends only on which blocks exist — a restored tree evicts
+/// exactly the leaves the live tree would have, which is what the serving
+/// layer's crash-recovery equivalence invariant rests on.
 struct FleetCandidate {
     key: f64,
     weight: f64,
@@ -177,14 +185,45 @@ pub fn evict_to_global_budget(
             });
         }
     }
+    let report = evict_pass(models, global_budget, 0);
 
+    // Same bookkeeping as a single-model pass, charged only to the
+    // models that actually shed leaves; the elapsed time is split
+    // evenly across them (the pass is one shared walk).
+    let touched = report.per_model.iter().filter(|pm| pm.nodes_freed > 0).count();
+    if touched > 0 {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let share = nanos / touched as u64;
+        for (fm, pm) in models.iter_mut().zip(report.per_model.iter()) {
+            if pm.nodes_freed > 0 {
+                fm.model.set_had_compression(true);
+                fm.model.note_compression(share, pm.nodes_freed as u64);
+            }
+        }
+    }
+    Ok(report)
+}
+
+/// The one SSEG eviction loop (paper Fig. 6, across models): evicts
+/// leaves in ascending [`FleetCandidate`] order until at least
+/// `min_freed` bytes are reclaimed *and* the models' summed bytes fit
+/// `budget`, or only roots remain. Weights must already be finite and
+/// non-negative. Counters and latches are the caller's business.
+pub(crate) fn evict_pass(
+    models: &mut [FleetModel<'_>],
+    budget: usize,
+    min_freed: usize,
+) -> FleetEvictionReport {
     let mut per_model = vec![ModelEviction::default(); models.len()];
     let mut total: usize = models.iter().map(|fm| fm.model.bytes_used()).sum();
-    if total <= global_budget {
-        return Ok(FleetEvictionReport { nodes_freed: 0, bytes_freed: 0, per_model, fit: true });
+    if min_freed == 0 && total <= budget {
+        return FleetEvictionReport { nodes_freed: 0, bytes_freed: 0, per_model, fit: true };
     }
 
-    let mut heap: BinaryHeap<Reverse<FleetCandidate>> = BinaryHeap::new();
+    // Fig. 6 line 1: every leaf enters the priority queue (heapified in
+    // one O(n) pass; the order is total, so pops do not depend on how
+    // the heap was built).
+    let mut seed: Vec<Reverse<FleetCandidate>> = Vec::new();
     for (mi, fm) in models.iter().enumerate() {
         // Normalize -0.0 so the weight tie-break cannot distinguish it
         // from +0.0 (total_cmp would order -0.0 first).
@@ -197,7 +236,7 @@ pub fn evict_to_global_budget(
             }
             let parent_avg = m.arena.get(node.parent).summary.avg();
             let sseg = node.summary.sseg(parent_avg);
-            heap.push(Reverse(FleetCandidate {
+            seed.push(Reverse(FleetCandidate {
                 key: weight * sseg,
                 weight,
                 model: mi,
@@ -206,14 +245,13 @@ pub fn evict_to_global_budget(
             }));
         }
     }
+    let mut heap = BinaryHeap::from(seed);
 
     let mut nodes_freed = 0usize;
     let mut bytes_freed = 0usize;
-    let mut fit = true;
-    while total > global_budget {
+    while bytes_freed < min_freed || total > budget {
         let Some(Reverse(FleetCandidate { weight, model: mi, node, .. })) = heap.pop() else {
-            fit = false; // every model is down to its root
-            break;
+            break; // every model is down to its root
         };
         let m = &mut *models[mi].model;
         let (bytes, newly_leaf) = m.evict_leaf(node);
@@ -222,6 +260,8 @@ pub fn evict_to_global_budget(
         nodes_freed += 1;
         per_model[mi].nodes_freed += 1;
         per_model[mi].bytes_freed += bytes;
+        // Fig. 6 lines 5-7: a parent that became a leaf joins the queue
+        // (unless it is the root).
         if let Some(parent) = newly_leaf {
             if parent != m.root {
                 let grand = m.arena.get(parent).parent;
@@ -238,23 +278,7 @@ pub fn evict_to_global_budget(
             }
         }
     }
-
-    // Same bookkeeping as a single-model pass, charged only to the
-    // models that actually shed leaves; the elapsed time is split
-    // evenly across them (the pass is one shared walk).
-    let touched = per_model.iter().filter(|pm| pm.nodes_freed > 0).count();
-    if touched > 0 {
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let share = nanos / touched as u64;
-        for (fm, pm) in models.iter_mut().zip(per_model.iter()) {
-            if pm.nodes_freed > 0 {
-                fm.model.set_had_compression(true);
-                fm.model.note_compression(share, pm.nodes_freed as u64);
-            }
-        }
-    }
-
-    Ok(FleetEvictionReport { nodes_freed, bytes_freed, per_model, fit })
+    FleetEvictionReport { nodes_freed, bytes_freed, per_model, fit: total <= budget }
 }
 
 #[cfg(test)]

@@ -135,8 +135,7 @@ struct NodeChunk([PackedNode; CHUNK_NODES]);
 /// snapshot can be patched in place of a full rebuild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Provenance {
-    /// Identity of the producing live tree (0 = detached, e.g. the result
-    /// of [`FrozenTree::merge_with`]).
+    /// Identity of the producing live tree.
     tree_id: u64,
     /// The tree's freeze sequence number when this snapshot was taken.
     freeze_seq: u64,
@@ -737,16 +736,6 @@ impl FrozenTree {
         Ok(self.predict_grid(&grid, beta))
     }
 
-    /// [`Self::predict`] for a pre-quantized query. Lets a caller that
-    /// descends several trees over the same [`Space`] — the serving layer
-    /// walks a CPU and an IO tree per shard — quantize each point once
-    /// and reuse the grid, instead of re-validating and re-quantizing per
-    /// tree.
-    #[must_use]
-    pub fn predict_quantized(&self, grid: &GridPoint) -> Option<f64> {
-        self.predict_grid(grid, self.config.beta)
-    }
-
     /// Runs the multi-lane kernel over a prepared [`BatchPlan`] at the
     /// configured `β`, appending one result per planned query to `out`
     /// (cleared first).
@@ -978,107 +967,6 @@ impl FrozenTree {
                 epoch: tree.structure_epoch,
             },
         }
-    }
-
-    /// Merges two packed snapshots into a new one without thawing either
-    /// — the snapshot-level counterpart of
-    /// [`MemoryLimitedQuadtree::merge_from`], for replication paths that
-    /// ship [`FrozenTree`]s between processes.
-    ///
-    /// Structure is the union of both trees capped at `self`'s `λ`; the
-    /// result keeps `self`'s configuration. Counts sum exactly. Block
-    /// averages where **both** inputs hold data are reconstructed as the
-    /// count-weighted mean of the two packed averages — within an ulp of
-    /// the live merge (which re-derives the average from summed `S`/`C`),
-    /// but not guaranteed bit-identical; nodes present on one side only
-    /// are copied verbatim. Paths needing bit-exact merges must merge
-    /// live trees (or snapshots restored via the envelope) and re-freeze.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::InvalidConfig`] when the model spaces differ.
-    pub fn merge_with(&self, other: &FrozenTree) -> Result<FrozenTree, MlqError> {
-        if self.config.space != other.config.space {
-            return Err(MlqError::InvalidConfig {
-                reason: "cannot merge snapshots over different spaces".into(),
-            });
-        }
-        let fanout = self.config.space.fanout();
-        let mask_words = fanout.div_ceil(64);
-        let lambda = self.config.lambda;
-        let mut root = self.root;
-        root.merge(&other.root);
-        // Paired BFS: each queue entry is (node in self, node in other,
-        // depth); the entry's queue index is its index in the merged slab,
-        // exactly like `from_tree`'s discovery order.
-        let mut queue: Vec<(Option<u32>, Option<u32>, u8)> = vec![(Some(0), Some(0), 0)];
-        let mut nodes: Vec<PackedNode> =
-            Vec::with_capacity(self.node_count().max(other.node_count()));
-        let mut children: Vec<u32> = Vec::new();
-        let mut wide_masks: Vec<u64> = Vec::new();
-        let mut present_slots: Vec<usize> = Vec::with_capacity(fanout);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let (a, b, depth) = queue[head];
-            head += 1;
-            let (count, avg) = match (a, b) {
-                (Some(ai), Some(bi)) => {
-                    let na = self.node(ai);
-                    let nb = other.node(bi);
-                    let count = na.count + nb.count;
-                    let avg = if na.count == 0 {
-                        nb.avg
-                    } else if nb.count == 0 {
-                        na.avg
-                    } else {
-                        // Weighted mean of the packed averages; `S` itself
-                        // is gone from the packed record, hence the ulp
-                        // caveat in the doc comment.
-                        na.avg.mul_add(na.count as f64, nb.avg * nb.count as f64) / count as f64
-                    };
-                    (count, avg)
-                }
-                (Some(ai), None) => {
-                    let n = self.node(ai);
-                    (n.count, n.avg)
-                }
-                (None, Some(bi)) => {
-                    let n = other.node(bi);
-                    (n.count, n.avg)
-                }
-                (None, None) => unreachable!("queue entries always reference at least one input"),
-            };
-            let children_base = u32::try_from(children.len()).expect("child slab fits u32");
-            present_slots.clear();
-            if depth < lambda {
-                for slot in 0..fanout {
-                    let ca = a.and_then(|i| self.child_index(&self.node(i), slot));
-                    let cb = b.and_then(|i| other.child_index(&other.node(i), slot));
-                    if ca.is_some() || cb.is_some() {
-                        queue.push((ca, cb, depth + 1));
-                        children.push(u32::try_from(queue.len() - 1).expect("indices fit u32"));
-                        present_slots.push(slot);
-                    }
-                }
-            }
-            let mask = if mask_words == 1 {
-                present_slots.iter().fold(0u64, |m, &s| m | 1 << s)
-            } else if present_slots.is_empty() {
-                WIDE_LEAF
-            } else {
-                let base = wide_masks.len();
-                wide_masks.resize(base + mask_words, 0);
-                for &s in &present_slots {
-                    wide_masks[base + s / 64] |= 1 << (s % 64);
-                }
-                base as u64
-            };
-            nodes.push(PackedNode { count, avg, mask, children_base });
-        }
-        // A merged snapshot belongs to no live tree: tree_id 0 means it
-        // can never be patched, only rebuilt.
-        let provenance = Provenance { tree_id: 0, freeze_seq: 0, epoch: 0 };
-        Ok(FrozenTree::assemble(self.config.clone(), root, nodes, children, wide_masks, provenance))
     }
 }
 
@@ -1481,112 +1369,6 @@ mod tests {
         let child = f.child_of(0, 0).expect("root has a low-quadrant child");
         assert!(f.child_of(0, 1).is_none());
         assert_eq!(f.node_stats(child).0, 1);
-    }
-
-    fn assert_trees_close(merged: &FrozenTree, reference: &FrozenTree) {
-        assert_eq!(merged.node_count(), reference.node_count());
-        assert_eq!(merged.root_summary().count, reference.root_summary().count);
-        for node in 0..merged.node_count() {
-            let (mc, ma) = merged.node_stats(node);
-            let (rc, ra) = reference.node_stats(node);
-            assert_eq!(mc, rc, "count at node {node}");
-            let scale = ra.abs().max(1.0);
-            assert!((ma - ra).abs() <= 1e-12 * scale, "avg at node {node}: {ma} vs {ra}");
-        }
-    }
-
-    #[test]
-    fn packed_merge_matches_live_merge() {
-        let mut a = model(1 << 18);
-        let mut b = model(1 << 18);
-        spread_points(&mut a, 240);
-        let dims = b.config().space.dims();
-        for i in 0..200u32 {
-            let p: Vec<f64> =
-                (0..dims).map(|d| f64::from(i.wrapping_mul(53 + d as u32 * 17) % 1000)).collect();
-            b.insert(&p, f64::from(i % 9)).unwrap();
-        }
-        let merged = a.freeze().merge_with(&b.freeze()).unwrap();
-        a.merge_from(&b).unwrap();
-        let reference = a.freeze();
-        assert_trees_close(&merged, &reference);
-        for i in 0..200u32 {
-            let q = [f64::from(i * 37 % 1009) % 1000.0, f64::from(i * 11 % 997) % 1000.0];
-            let got = merged.predict(&q).unwrap().unwrap();
-            let want = reference.predict(&q).unwrap().unwrap();
-            assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0), "point {q:?}");
-        }
-    }
-
-    #[test]
-    fn packed_merge_with_empty_is_verbatim() {
-        let mut a = model(1 << 16);
-        spread_points(&mut a, 150);
-        let frozen = a.freeze();
-        let empty = model(1 << 16).freeze();
-        // One-sided nodes are copied bit-for-bit, both directions.
-        for merged in [frozen.merge_with(&empty).unwrap(), empty.merge_with(&frozen).unwrap()] {
-            assert_eq!(merged.node_count(), frozen.node_count());
-            for node in 0..merged.node_count() {
-                let (mc, ma) = merged.node_stats(node);
-                let (fc, fa) = frozen.node_stats(node);
-                assert_eq!(mc, fc);
-                assert_eq!(ma.to_bits(), fa.to_bits(), "node {node} avg must copy verbatim");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_merge_caps_at_own_lambda_without_losing_counts() {
-        let space = Space::cube(2, 0.0, 1000.0).unwrap();
-        let shallow_cfg = MlqConfig::builder(space)
-            .memory_budget(1 << 16)
-            .strategy(InsertionStrategy::Eager)
-            .lambda(2)
-            .build()
-            .unwrap();
-        let shallow = MemoryLimitedQuadtree::new(shallow_cfg).unwrap().freeze();
-        let mut deep = model(1 << 16); // λ = 6
-        spread_points(&mut deep, 200);
-        let merged = shallow.merge_with(&deep.freeze()).unwrap();
-        assert_eq!(merged.root_summary().count, 200);
-        assert_eq!(merged.config().lambda, 2);
-        // No node sits deeper than λ: a 3-level descent from the root
-        // must terminate.
-        fn max_depth(t: &FrozenTree, node: usize) -> usize {
-            (0..t.config().space.fanout())
-                .filter_map(|s| t.child_of(node, s))
-                .map(|c| 1 + max_depth(t, c))
-                .max()
-                .unwrap_or(0)
-        }
-        assert!(max_depth(&merged, 0) <= 2);
-    }
-
-    #[test]
-    fn packed_merge_rejects_mismatched_spaces() {
-        let a = model(1 << 16).freeze();
-        let other_space = Space::cube(2, 0.0, 500.0).unwrap();
-        let cfg = MlqConfig::builder(other_space).memory_budget(1 << 16).build().unwrap();
-        let b = MemoryLimitedQuadtree::new(cfg).unwrap().freeze();
-        assert!(a.merge_with(&b).is_err());
-    }
-
-    #[test]
-    fn packed_merge_handles_wide_masks() {
-        // d = 7 → fanout 128 exercises the wide-mask slab in the merged
-        // snapshot as well.
-        let mut a = model_d(7, 1 << 22);
-        let mut b = model_d(7, 1 << 22);
-        for i in 0..80u32 {
-            let pa: Vec<f64> = (0..7).map(|d| f64::from(i.wrapping_mul(89 + d) % 1000)).collect();
-            let pb: Vec<f64> = (0..7).map(|d| f64::from(i.wrapping_mul(131 + d) % 1000)).collect();
-            a.insert(&pa, f64::from(i % 11)).unwrap();
-            b.insert(&pb, f64::from(i % 5)).unwrap();
-        }
-        let merged = a.freeze().merge_with(&b.freeze()).unwrap();
-        a.merge_from(&b).unwrap();
-        assert_trees_close(&merged, &a.freeze());
     }
 
     #[test]

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod adaptive;
 mod blocks;
 mod compress;
 mod config;
@@ -61,16 +60,13 @@ mod guard;
 mod merge;
 mod model;
 mod node;
-mod nominal;
 mod persist;
 mod render;
 mod space;
 mod summary;
-mod transform;
 mod tree;
 mod validate;
 
-pub use adaptive::AutoRangeModel;
 pub use blocks::BlockView;
 pub use compress::CompressionReport;
 pub use config::{InsertionStrategy, MlqConfig, MlqConfigBuilder};
@@ -83,16 +79,12 @@ pub use guard::{BreakerState, GuardConfig, GuardCounters, GuardState, GuardedMod
 pub use merge::DeltaTracker;
 pub use model::{CostModel, TrainableModel};
 pub use node::NodeView;
-pub use nominal::NominalDimension;
 pub use persist::{
     crc32_ieee, open_frame, seal_frame, RestoreOutcome, TreeSnapshot, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
 pub use space::{GridPoint, Space, GRID_BITS, MAX_DIMS};
 pub use summary::{ssenc, Summary};
-pub use transform::{
-    elapsed_time_transform, ArgumentTransform, FnTransform, Projection, TransformedModel,
-};
 pub use tree::{InsertOutcome, MemoryLimitedQuadtree};
 
 /// Byte cost accounted for every quadtree node (summaries + bookkeeping).

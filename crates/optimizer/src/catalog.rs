@@ -1,111 +1,47 @@
 //! The optimizer's cost-model catalog: one pair of MLQ models per
-//! registered UDF (CPU + disk IO, per paper §1), with persistence and —
-//! beyond the paper — fleet-level memory arbitration.
+//! registered UDF (CPU + disk IO, per paper §1), with persistence.
 //!
 //! This is the integration surface an ORDBMS would actually ship: UDFs
 //! are registered by name when created (`CREATE FUNCTION ...`), their
 //! estimators live in catalog metadata, survive restarts through
-//! snapshots, and every execution feeds back through one call.
-//!
-//! ## Fleet arbitration
-//!
-//! The paper fixes ~1.8 KB per model; a catalog built with
-//! [`UdfCatalog::with_fleet_budget`] instead holds one *global* byte
-//! budget over every registered model and acts as the arbiter:
-//!
-//! * **Admission** — a registration is denied when even one root node
-//!   per component per model could no longer fit the global budget, so
-//!   arbitration can always succeed.
-//! * **Cross-model compression** — each [`UdfCatalog::arbitrate`] round
-//!   snapshots every model's cumulative predict counters *once* (the
-//!   traffic read is torn-free by construction), derives per-model
-//!   traffic deltas, and when the live fleet exceeds the budget evicts
-//!   the globally smallest traffic-weighted-SSEG leaves via
-//!   [`mlq_core::evict_to_global_budget`].
-//! * **Hibernation** — a model whose traffic delta has been zero for
-//!   `hibernate_after` consecutive rounds is spilled to the CRC-32
-//!   snapshot envelope ([`TreeSnapshot::to_envelope`]) and its live
-//!   trees dropped; the next predict or observe restores it in place,
-//!   bit-identical (snapshot restore is exact).
-//!
-//! The budget invariant is *post-arbitration*: a warm restore may push
-//! the fleet over budget until the next round reclaims the space.
+//! snapshots, and every execution feeds back through one call. Fleet
+//! memory arbitration across many models is the serving layer's job
+//! (`mlq-serve`'s `FleetConfig`); a catalog hands its models over with
+//! [`UdfCatalog::into_models`].
 
 use mlq_core::{
-    evict_to_global_budget, FleetModel, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig,
-    MlqError, Space, TreeSnapshot, NODE_BYTES,
+    InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, MlqError, Space, TreeSnapshot,
 };
 use mlq_udfs::{CostKind, ExecutionCost};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-/// One UDF's models: live trees, or cold snapshot envelopes.
-enum EntryState {
-    /// The model pair is resident and serving.
-    Live { cpu: Box<MemoryLimitedQuadtree>, io: Box<MemoryLimitedQuadtree> },
-    /// The model pair is hibernated to CRC-32 snapshot envelopes; it
-    /// contributes zero accounted bytes to the live fleet.
-    Hibernated { cpu: Vec<u8>, io: Vec<u8> },
-}
-
-/// One UDF's pair of models. The `RefCell` lets the read path
-/// (`predict`, `&self`) restore a hibernated entry in place — the
-/// catalog is a single-threaded optimizer structure, so interior
-/// mutability here is a borrow-discipline statement, not a lock.
-struct Entry {
-    state: RefCell<EntryState>,
-}
-
-/// Global memory policy for a fleet-arbitrated catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetBudget {
-    /// Total accounted bytes the *live* models may hold after an
-    /// arbitration round (hibernated envelopes are cold storage and do
-    /// not count).
-    pub global_budget: usize,
-    /// Consecutive zero-traffic arbitration rounds after which a model
-    /// is hibernated; `0` disables hibernation.
-    pub hibernate_after: u32,
-}
-
-/// Fleet bookkeeping: traffic baselines, cold streaks, and cumulative
-/// arbitration counters.
-struct FleetState {
-    budget: FleetBudget,
-    round: u64,
-    /// Each model's cumulative predict counter as of the last round —
-    /// the baseline deltas are computed against.
-    last_traffic: BTreeMap<String, u64>,
-    cold_rounds: BTreeMap<String, u32>,
-    hibernations: u64,
-    evicted_nodes: u64,
-    evicted_bytes: u64,
-    /// Warm restores happen on the read path (`&self`), hence the Cell.
-    restores: Cell<u64>,
-}
-
-/// Outcome of one [`UdfCatalog::arbitrate`] round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArbitrationReport {
-    /// 1-based round number.
-    pub round: u64,
-    /// Per-model predict-traffic deltas since the previous round, in
-    /// name order — all read from one snapshot of the counters.
-    pub traffic: Vec<(String, u64)>,
-    /// Sum of `traffic` (same snapshot, so this always equals the sum
-    /// of the deltas exactly).
-    pub traffic_total: u64,
-    /// Models hibernated by this round.
-    pub hibernated: Vec<String>,
-    /// Leaves evicted by cross-model compression this round.
-    pub nodes_evicted: usize,
-    /// Accounted bytes reclaimed this round.
-    pub bytes_evicted: usize,
-    /// Live accounted bytes after the round.
-    pub live_bytes: usize,
-    /// True when `live_bytes <= global_budget`.
-    pub fit: bool,
+/// The standard model pair for one UDF over `space`: a CPU model with
+/// `β = 1` and an IO model with `β = 10` — the paper's tuned settings for
+/// deterministic vs. buffer-cache-noised costs — both lazy (`α = 0.05`)
+/// with `budget_per_model` bytes, raised to the MLQ dimensional floor.
+///
+/// Every registration path uses this recipe, so catalog-built and
+/// service-built models (and a replica group's merge base) are
+/// configured identically.
+///
+/// # Errors
+///
+/// Propagates model construction failures.
+pub fn catalog_models(
+    space: &Space,
+    budget_per_model: usize,
+) -> Result<(MemoryLimitedQuadtree, MemoryLimitedQuadtree), MlqError> {
+    let build = |beta: u64| -> Result<MemoryLimitedQuadtree, MlqError> {
+        let floor = MlqConfig::min_budget(space, 6);
+        let config = MlqConfig::builder(space.clone())
+            .memory_budget(budget_per_model.max(floor))
+            .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
+            .beta(beta)
+            .build()?;
+        MemoryLimitedQuadtree::new(config)
+    };
+    Ok((build(1)?, build(10)?))
 }
 
 /// A serializable image of a whole catalog.
@@ -116,9 +52,8 @@ pub struct CatalogSnapshot {
 
 /// Per-UDF cost estimators, keyed by UDF name.
 pub struct UdfCatalog {
-    entries: BTreeMap<String, Entry>,
+    entries: BTreeMap<String, (MemoryLimitedQuadtree, MemoryLimitedQuadtree)>,
     budget_per_model: usize,
-    fleet: Option<FleetState>,
 }
 
 impl UdfCatalog {
@@ -126,100 +61,23 @@ impl UdfCatalog {
     /// `budget_per_model` bytes (subject to the MLQ dimensional floor).
     #[must_use]
     pub fn new(budget_per_model: usize) -> Self {
-        UdfCatalog { entries: BTreeMap::new(), budget_per_model, fleet: None }
+        UdfCatalog { entries: BTreeMap::new(), budget_per_model }
     }
 
-    /// Creates an empty fleet-arbitrated catalog: models still receive
-    /// `budget_per_model` individually (their own compression still
-    /// runs), but [`Self::arbitrate`] additionally enforces
-    /// `fleet.global_budget` across all live models and hibernates cold
-    /// ones.
+    /// Registers a UDF's model space under `name`, with the
+    /// [`catalog_models`] pair.
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] when the global budget cannot hold
-    /// even one model's two root nodes.
-    pub fn with_fleet_budget(
-        budget_per_model: usize,
-        fleet: FleetBudget,
-    ) -> Result<Self, MlqError> {
-        if fleet.global_budget < 2 * NODE_BYTES {
-            return Err(MlqError::InvalidConfig {
-                reason: format!(
-                    "fleet global_budget {} cannot hold one model's two roots ({} bytes)",
-                    fleet.global_budget,
-                    2 * NODE_BYTES
-                ),
-            });
-        }
-        Ok(UdfCatalog {
-            entries: BTreeMap::new(),
-            budget_per_model,
-            fleet: Some(FleetState {
-                budget: fleet,
-                round: 0,
-                last_traffic: BTreeMap::new(),
-                cold_rounds: BTreeMap::new(),
-                hibernations: 0,
-                evicted_nodes: 0,
-                evicted_bytes: 0,
-                restores: Cell::new(0),
-            }),
-        })
-    }
-
-    /// Registers a UDF's model space under `name`. The CPU model uses
-    /// `β = 1`, the IO model `β = 10` — the paper's tuned settings for
-    /// deterministic vs. buffer-cache-noised costs.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::InvalidConfig`] for duplicate names, or — under a
-    /// fleet budget — when admitting the model would make the global
-    /// budget too small to hold every model's root pair (arbitration
-    /// could then never fit the fleet). Propagates model construction
-    /// failures.
+    /// [`MlqError::InvalidConfig`] for duplicate names. Propagates model
+    /// construction failures.
     pub fn register(&mut self, name: &str, space: &Space) -> Result<(), MlqError> {
         if self.entries.contains_key(name) {
             return Err(MlqError::InvalidConfig {
                 reason: format!("UDF {name} is already registered"),
             });
         }
-        if let Some(fleet) = &self.fleet {
-            // Every tree can shrink to its root but no further, so the
-            // fleet floor is two roots per admitted model; past it
-            // arbitration could never succeed again.
-            let floor = 2 * NODE_BYTES * (self.entries.len() + 1);
-            if floor > fleet.budget.global_budget {
-                return Err(MlqError::InvalidConfig {
-                    reason: format!(
-                        "admission denied: {} models need {} bytes of root floor, \
-                         over the {} byte global budget",
-                        self.entries.len() + 1,
-                        floor,
-                        fleet.budget.global_budget
-                    ),
-                });
-            }
-        }
-        let build = |beta: u64| -> Result<MemoryLimitedQuadtree, MlqError> {
-            let floor = MlqConfig::min_budget(space, 6);
-            let config = MlqConfig::builder(space.clone())
-                .memory_budget(self.budget_per_model.max(floor))
-                .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
-                .beta(beta)
-                .build()?;
-            MemoryLimitedQuadtree::new(config)
-        };
-        self.entries.insert(
-            name.to_string(),
-            Entry {
-                state: RefCell::new(EntryState::Live {
-                    cpu: Box::new(build(1)?),
-                    io: Box::new(build(10)?),
-                }),
-            },
-        );
+        self.entries.insert(name.to_string(), catalog_models(space, self.budget_per_model)?);
         Ok(())
     }
 
@@ -235,49 +93,17 @@ impl UdfCatalog {
         self.budget_per_model
     }
 
-    /// The fleet policy, when this catalog was built with one.
-    #[must_use]
-    pub fn fleet_budget(&self) -> Option<FleetBudget> {
-        self.fleet.as_ref().map(|f| f.budget)
-    }
-
-    /// Names of currently hibernated models, sorted.
-    #[must_use]
-    pub fn hibernated_names(&self) -> Vec<&str> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| matches!(&*e.state.borrow(), EntryState::Hibernated { .. }))
-            .map(|(name, _)| name.as_str())
-            .collect()
-    }
-
     /// Consumes the catalog, handing out every UDF's `(name, cpu, io)`
-    /// model pair in name order (hibernated models are restored first).
-    /// This is how a serving layer takes ownership of the catalog's
-    /// learned models to shard them across a concurrent estimator: the
-    /// catalog remains the registration authority, the serving layer
-    /// the runtime owner.
+    /// model pair in name order. This is how a serving layer takes
+    /// ownership of the catalog's learned models to shard them across a
+    /// concurrent estimator: the catalog remains the registration
+    /// authority, the serving layer the runtime owner.
     #[must_use]
     pub fn into_models(self) -> Vec<(String, MemoryLimitedQuadtree, MemoryLimitedQuadtree)> {
-        self.entries
-            .into_iter()
-            .map(|(name, e)| match e.state.into_inner() {
-                EntryState::Live { cpu, io } => (name, *cpu, *io),
-                EntryState::Hibernated { cpu, io } => {
-                    let restore = |bytes: &[u8]| {
-                        let snap = TreeSnapshot::from_envelope(bytes)
-                            .expect("catalog-internal envelope is valid by construction");
-                        MemoryLimitedQuadtree::from_snapshot(&snap)
-                            .expect("catalog-internal snapshot is valid by construction")
-                    };
-                    (name, restore(&cpu), restore(&io))
-                }
-            })
-            .collect()
+        self.entries.into_iter().map(|(name, (cpu, io))| (name, cpu, io)).collect()
     }
 
-    /// Predicts one cost component for `name` at `point`, warm-restoring
-    /// the model first if it was hibernated.
+    /// Predicts one cost component for `name` at `point`.
     ///
     /// # Errors
     ///
@@ -289,18 +115,14 @@ impl UdfCatalog {
         point: &[f64],
         kind: CostKind,
     ) -> Result<Option<f64>, MlqError> {
-        let entry = self.entry(name)?;
-        ensure_live(entry, self.fleet.as_ref())?;
-        let state = entry.state.borrow();
-        let EntryState::Live { cpu, io } = &*state else { unreachable!("ensure_live restored") };
+        let (cpu, io) = self.entries.get(name).ok_or_else(|| unknown(name))?;
         match kind {
             CostKind::Cpu => cpu.predict(point),
             CostKind::DiskIo => io.predict(point),
         }
     }
 
-    /// Feeds one observed execution back into both models,
-    /// warm-restoring them first if hibernated.
+    /// Feeds one observed execution back into both models.
     ///
     /// # Errors
     ///
@@ -312,274 +134,31 @@ impl UdfCatalog {
         point: &[f64],
         cost: ExecutionCost,
     ) -> Result<(), MlqError> {
-        let entry = self.entries.get(name).ok_or_else(|| unknown(name))?;
-        ensure_live(entry, self.fleet.as_ref())?;
-        let mut state = entry.state.borrow_mut();
-        let EntryState::Live { cpu, io } = &mut *state else {
-            unreachable!("ensure_live restored")
-        };
+        let (cpu, io) = self.entries.get_mut(name).ok_or_else(|| unknown(name))?;
         cpu.insert(point, cost.cpu)?;
         io.insert(point, cost.io)?;
         Ok(())
     }
 
-    /// Builds a combined [`crate::CostEstimator`]-style prediction: CPU plus
-    /// `io_weight` × IO.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::predict`].
-    pub fn predict_combined(
-        &self,
-        name: &str,
-        point: &[f64],
-        io_weight: f64,
-    ) -> Result<Option<f64>, MlqError> {
-        let cpu = self.predict(name, point, CostKind::Cpu)?;
-        let io = self.predict(name, point, CostKind::DiskIo)?;
-        Ok(match (cpu, io) {
-            (None, None) => None,
-            (c, i) => Some(c.unwrap_or(0.0) + io_weight * i.unwrap_or(0.0)),
-        })
-    }
-
-    /// Total accounted bytes across every *live* model in the catalog.
-    /// Hibernated models count zero: their envelopes are cold storage,
-    /// not optimizer-metadata residency.
+    /// Total accounted bytes across every model in the catalog.
     #[must_use]
     pub fn total_memory(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| match &*e.state.borrow() {
-                EntryState::Live { cpu, io } => cpu.bytes_used() + io.bytes_used(),
-                EntryState::Hibernated { .. } => 0,
-            })
-            .sum()
+        self.entries.values().map(|(cpu, io)| cpu.bytes_used() + io.bytes_used()).sum()
     }
 
-    /// Bytes held in hibernated models' cold snapshot envelopes.
-    #[must_use]
-    pub fn cold_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| match &*e.state.borrow() {
-                EntryState::Live { .. } => 0,
-                EntryState::Hibernated { cpu, io } => cpu.len() + io.len(),
-            })
-            .sum()
-    }
-
-    /// Runs one arbitration round: snapshot every model's cumulative
-    /// predict counters **once** (so traffic normalization is
-    /// torn-read-free — deltas and their total come from the same
-    /// reads), hibernate models cold for `hibernate_after` consecutive
-    /// rounds, then evict the globally smallest traffic-weighted-SSEG
-    /// leaves until the live fleet fits the global budget.
-    ///
-    /// A model whose counters restarted (warm restore resets them —
-    /// counters are not part of snapshots) is detected by a cumulative
-    /// value below its baseline; its fresh count becomes the delta, so
-    /// a just-woken model is never mistaken for cold.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::InvalidConfig`] when the catalog was not built with
-    /// [`Self::with_fleet_budget`].
-    pub fn arbitrate(&mut self) -> Result<ArbitrationReport, MlqError> {
-        let Some(mut fleet) = self.fleet.take() else {
-            return Err(MlqError::InvalidConfig {
-                reason: "catalog has no fleet budget; build it with with_fleet_budget".into(),
-            });
-        };
-        fleet.round += 1;
-
-        // Step 1: one consistent traffic snapshot. Every delta and the
-        // total below derive from this single read of each counter.
-        let snapshot: Vec<(String, u64)> = self
-            .entries
-            .iter_mut()
-            .map(|(name, e)| {
-                let t = match e.state.get_mut() {
-                    EntryState::Live { cpu, io } => {
-                        cpu.counters().predictions + io.counters().predictions
-                    }
-                    // A hibernated model serves nothing; carrying the
-                    // baseline forward keeps its delta at zero.
-                    EntryState::Hibernated { .. } => {
-                        fleet.last_traffic.get(name).copied().unwrap_or(0)
-                    }
-                };
-                (name.clone(), t)
-            })
-            .collect();
-        let traffic: Vec<(String, u64)> = snapshot
-            .iter()
-            .map(|(name, t)| {
-                let last = fleet.last_traffic.get(name).copied().unwrap_or(0);
-                // t < last means the model's counters restarted (warm
-                // restore); all of t is fresh traffic.
-                (name.clone(), if *t < last { *t } else { *t - last })
-            })
-            .collect();
-        let traffic_total: u64 = traffic.iter().map(|(_, d)| *d).sum();
-        fleet.last_traffic = snapshot.into_iter().collect();
-
-        // Step 2: cold streaks and hibernation.
-        let mut hibernated = Vec::new();
-        for (name, delta) in &traffic {
-            let streak = fleet.cold_rounds.entry(name.clone()).or_insert(0);
-            if *delta == 0 {
-                *streak = streak.saturating_add(1);
-            } else {
-                *streak = 0;
-            }
-            if fleet.budget.hibernate_after > 0 && *streak >= fleet.budget.hibernate_after {
-                let entry = self.entries.get_mut(name).expect("traffic names are entry names");
-                let state = entry.state.get_mut();
-                if let EntryState::Live { cpu, io } = state {
-                    let cpu_env = cpu.snapshot().to_envelope();
-                    let io_env = io.snapshot().to_envelope();
-                    *state = EntryState::Hibernated { cpu: cpu_env, io: io_env };
-                    fleet.hibernations += 1;
-                    hibernated.push(name.clone());
-                }
-            }
-        }
-
-        // Step 3: cross-model eviction, traffic-normalized. With zero
-        // total traffic there is no heat signal, so every model weighs
-        // equally and the pass degrades to plain global SSEG order.
-        let live_bytes: usize = self.live_bytes();
-        let mut nodes_evicted = 0usize;
-        let mut bytes_evicted = 0usize;
-        if live_bytes > fleet.budget.global_budget {
-            let weights: BTreeMap<&str, f64> = traffic
-                .iter()
-                .map(|(name, d)| {
-                    let w = if traffic_total == 0 { 1.0 } else { *d as f64 / traffic_total as f64 };
-                    (name.as_str(), w)
-                })
-                .collect();
-            // Name order; within a name CPU precedes IO — the model
-            // index the eviction tie-break sees is exactly this order.
-            let mut models: Vec<FleetModel<'_>> = Vec::new();
-            for (name, entry) in &mut self.entries {
-                if let EntryState::Live { cpu, io } = entry.state.get_mut() {
-                    let w = weights[name.as_str()];
-                    models.push(FleetModel { weight: w, model: cpu });
-                    models.push(FleetModel { weight: w, model: io });
-                }
-            }
-            let report = evict_to_global_budget(&mut models, fleet.budget.global_budget)?;
-            nodes_evicted = report.nodes_freed;
-            bytes_evicted = report.bytes_freed;
-            fleet.evicted_nodes += report.nodes_freed as u64;
-            fleet.evicted_bytes += report.bytes_freed as u64;
-        }
-
-        let live_bytes = self.live_bytes();
-        let fit = live_bytes <= fleet.budget.global_budget;
-        let report = ArbitrationReport {
-            round: fleet.round,
-            traffic,
-            traffic_total,
-            hibernated,
-            nodes_evicted,
-            bytes_evicted,
-            live_bytes,
-            fit,
-        };
-        self.fleet = Some(fleet);
-        Ok(report)
-    }
-
-    /// Live accounted bytes, without the `RefCell` borrow (used from
-    /// `arbitrate`, which holds `&mut self`).
-    fn live_bytes(&mut self) -> usize {
-        self.entries
-            .values_mut()
-            .map(|e| match e.state.get_mut() {
-                EntryState::Live { cpu, io } => cpu.bytes_used() + io.bytes_used(),
-                EntryState::Hibernated { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Mirrors every live model's cumulative operation counters into
-    /// `registry` as `mlq_core_*{udf="...",component="cpu"|"io"}` series
-    /// (hibernated models keep their last exported values — counters are
-    /// not part of snapshots), plus — for fleet catalogs — the
-    /// `mlq_catalog_*` arbitration series. Exports use
-    /// [`record_total`](mlq_obs::Counter::record_total), so re-exporting
-    /// at any cadence is idempotent.
-    pub fn export_metrics(&self, registry: &mlq_obs::Registry) {
-        for (name, entry) in &self.entries {
-            let state = entry.state.borrow();
-            let EntryState::Live { cpu, io } = &*state else { continue };
-            for (component, model) in [("cpu", cpu), ("io", io)] {
-                let labels = [("udf", name.as_str()), ("component", component)];
-                let c = model.counters();
-                let export = |metric: &str, total: u64| {
-                    registry.counter(&mlq_obs::labeled(metric, &labels)).record_total(total);
-                };
-                export("mlq_core_predictions", c.predictions);
-                export("mlq_core_predict_nanos", c.predict_nanos);
-                export("mlq_core_predict_nodes_visited", c.predict_nodes_visited);
-                export("mlq_core_insertions", c.insertions);
-                export("mlq_core_insert_nanos", c.insert_nanos);
-                export("mlq_core_compressions", c.compressions);
-                export("mlq_core_compress_nanos", c.compress_nanos);
-                export("mlq_core_sseg_evictions", c.sseg_evictions);
-                export("mlq_core_lazy_skips", c.lazy_skips);
-                export("mlq_core_freezes", c.freezes);
-                export("mlq_core_freeze_nanos", c.freeze_nanos);
-            }
-        }
-        if let Some(fleet) = &self.fleet {
-            registry
-                .gauge("mlq_catalog_global_budget_bytes")
-                .set(fleet.budget.global_budget as f64);
-            registry.gauge("mlq_catalog_live_bytes").set(self.total_memory() as f64);
-            registry.gauge("mlq_catalog_cold_bytes").set(self.cold_bytes() as f64);
-            registry
-                .gauge("mlq_catalog_hibernated_models")
-                .set(self.hibernated_names().len() as f64);
-            registry.counter("mlq_catalog_arbitrations").record_total(fleet.round);
-            registry.counter("mlq_catalog_evicted_leaves").record_total(fleet.evicted_nodes);
-            registry.counter("mlq_catalog_evicted_bytes").record_total(fleet.evicted_bytes);
-            registry.counter("mlq_catalog_hibernations").record_total(fleet.hibernations);
-            registry.counter("mlq_catalog_restores").record_total(fleet.restores.get());
-        }
-    }
-
-    /// Captures the whole catalog for persistence. Hibernated models are
-    /// captured from their envelopes without being restored.
+    /// Captures the whole catalog for persistence.
     #[must_use]
     pub fn snapshot(&self) -> CatalogSnapshot {
         CatalogSnapshot {
             entries: self
                 .entries
                 .iter()
-                .map(|(name, e)| {
-                    let pair = match &*e.state.borrow() {
-                        EntryState::Live { cpu, io } => (cpu.snapshot(), io.snapshot()),
-                        EntryState::Hibernated { cpu, io } => {
-                            let decode = |bytes: &[u8]| {
-                                TreeSnapshot::from_envelope(bytes)
-                                    .expect("catalog-internal envelope is valid by construction")
-                            };
-                            (decode(cpu), decode(io))
-                        }
-                    };
-                    (name.clone(), pair)
-                })
+                .map(|(name, (cpu, io))| (name.clone(), (cpu.snapshot(), io.snapshot())))
                 .collect(),
         }
     }
 
-    /// Restores a catalog from a snapshot (all models live, no fleet
-    /// policy — re-arm one with [`Self::with_fleet_budget`] semantics by
-    /// rebuilding if needed).
+    /// Restores a catalog from a snapshot.
     ///
     /// # Errors
     ///
@@ -592,38 +171,14 @@ impl UdfCatalog {
         for (name, (cpu, io)) in &snapshot.entries {
             entries.insert(
                 name.clone(),
-                Entry {
-                    state: RefCell::new(EntryState::Live {
-                        cpu: Box::new(MemoryLimitedQuadtree::from_snapshot(cpu)?),
-                        io: Box::new(MemoryLimitedQuadtree::from_snapshot(io)?),
-                    }),
-                },
+                (
+                    MemoryLimitedQuadtree::from_snapshot(cpu)?,
+                    MemoryLimitedQuadtree::from_snapshot(io)?,
+                ),
             );
         }
-        Ok(UdfCatalog { entries, budget_per_model, fleet: None })
+        Ok(UdfCatalog { entries, budget_per_model })
     }
-
-    fn entry(&self, name: &str) -> Result<&Entry, MlqError> {
-        self.entries.get(name).ok_or_else(|| unknown(name))
-    }
-}
-
-/// Restores `entry` in place when hibernated; bumps the fleet restore
-/// counter. Bit-identity with the never-hibernated model rests on the
-/// exactness of the snapshot roundtrip (shortest-roundtrip f64
-/// formatting plus structure-preserving rebuild).
-fn ensure_live(entry: &Entry, fleet: Option<&FleetState>) -> Result<(), MlqError> {
-    let mut state = entry.state.borrow_mut();
-    if let EntryState::Hibernated { cpu, io } = &*state {
-        let restore = |bytes: &[u8]| -> Result<MemoryLimitedQuadtree, MlqError> {
-            MemoryLimitedQuadtree::from_snapshot(&TreeSnapshot::from_envelope(bytes)?)
-        };
-        *state = EntryState::Live { cpu: Box::new(restore(cpu)?), io: Box::new(restore(io)?) };
-        if let Some(fleet) = fleet {
-            fleet.restores.set(fleet.restores.get() + 1);
-        }
-    }
-    Ok(())
 }
 
 fn unknown(name: &str) -> MlqError {
@@ -649,8 +204,6 @@ mod tests {
         cat.observe("WIN", &[1.0; 4], ExecutionCost { cpu: 50.0, io: 3.0, results: 7 }).unwrap();
         assert_eq!(cat.predict("WIN", &[1.0; 4], CostKind::Cpu).unwrap(), Some(50.0));
         assert_eq!(cat.predict("WIN", &[1.0; 4], CostKind::DiskIo).unwrap(), Some(3.0));
-        let combined = cat.predict_combined("WIN", &[1.0; 4], 100.0).unwrap().unwrap();
-        assert!((combined - 350.0).abs() < 1e-9);
         assert!(cat.total_memory() > 0);
     }
 
@@ -703,201 +256,5 @@ mod tests {
         let io_b = cat.predict("F", &[999.0, 999.0], CostKind::DiskIo).unwrap().unwrap();
         assert_eq!(io_a, io_b);
         assert!((io_a - 50.0).abs() < 1e-9);
-    }
-
-    fn fleet_catalog(models: usize, global_budget: usize, hibernate_after: u32) -> UdfCatalog {
-        let mut cat = UdfCatalog::with_fleet_budget(
-            1 << 20, // generous per-model budget: arbitration does the limiting
-            FleetBudget { global_budget, hibernate_after },
-        )
-        .unwrap();
-        for i in 0..models {
-            cat.register(&format!("U{i}"), &space(2)).unwrap();
-        }
-        cat
-    }
-
-    fn feed(cat: &mut UdfCatalog, name: &str, n: u32, scale: f64) {
-        for i in 0..n {
-            let p = [f64::from(i * 19 % 1000), f64::from(i * 7 % 1000)];
-            cat.observe(
-                name,
-                &p,
-                ExecutionCost { cpu: scale * f64::from(i % 50), io: 1.0, results: 0 },
-            )
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn admission_denied_past_the_root_floor() {
-        // Budget for exactly 3 models' root pairs.
-        let mut cat = UdfCatalog::with_fleet_budget(
-            4096,
-            FleetBudget { global_budget: 6 * 48, hibernate_after: 0 },
-        )
-        .unwrap();
-        cat.register("A", &space(2)).unwrap();
-        cat.register("B", &space(2)).unwrap();
-        cat.register("C", &space(2)).unwrap();
-        let err = cat.register("D", &space(2)).unwrap_err();
-        assert!(matches!(err, MlqError::InvalidConfig { .. }));
-        assert_eq!(cat.names().len(), 3);
-        // A non-fleet catalog admits freely.
-        assert!(UdfCatalog::with_fleet_budget(
-            4096,
-            FleetBudget { global_budget: 48, hibernate_after: 0 }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn arbitrate_enforces_the_global_budget() {
-        let mut cat = fleet_catalog(4, 4096, 0);
-        for i in 0..4 {
-            feed(&mut cat, &format!("U{i}"), 200, 1.0);
-        }
-        assert!(cat.total_memory() > 4096, "fleet must start over budget");
-        // Heat up U0 so it keeps its detail.
-        for i in 0..100u32 {
-            let p = [f64::from(i % 32) * 30.0, f64::from(i % 17) * 50.0];
-            cat.predict("U0", &p, CostKind::Cpu).unwrap();
-        }
-        let report = cat.arbitrate().unwrap();
-        assert!(report.fit);
-        assert!(report.nodes_evicted > 0);
-        assert!(cat.total_memory() <= 4096);
-        assert_eq!(report.live_bytes, cat.total_memory());
-        // The deltas and their total come from one snapshot.
-        assert_eq!(report.traffic.iter().map(|(_, d)| *d).sum::<u64>(), report.traffic_total);
-        // Idempotent at the same budget.
-        let again = cat.arbitrate().unwrap();
-        assert_eq!(again.nodes_evicted, 0);
-    }
-
-    #[test]
-    fn cold_models_hibernate_and_warm_restore_bit_identically() {
-        let mut cat = fleet_catalog(2, 1 << 20, 2);
-        let mut reference = fleet_catalog(2, 1 << 20, 0); // hibernation disabled
-        for c in [&mut cat, &mut reference] {
-            feed(c, "U0", 120, 1.0);
-            feed(c, "U1", 120, 3.0);
-        }
-        // U1 goes cold for two rounds while U0 stays hot.
-        for round in 0..3 {
-            for c in [&mut cat, &mut reference] {
-                for i in 0..10u32 {
-                    let p = [f64::from(i * 97 % 1000), f64::from(i * 31 % 1000)];
-                    c.predict("U0", &p, CostKind::Cpu).unwrap();
-                }
-            }
-            let r = cat.arbitrate().unwrap();
-            reference.arbitrate().unwrap();
-            if round >= 1 {
-                assert_eq!(r.hibernated, vec!["U1".to_string()], "round {round}");
-                break;
-            }
-        }
-        assert_eq!(cat.hibernated_names(), vec!["U1"]);
-        assert!(cat.cold_bytes() > 0);
-        // Hibernated models cost no live bytes.
-        assert!(cat.total_memory() < reference.total_memory());
-        // Warm restore on predict: bit-identical to never hibernating.
-        for i in 0..50u32 {
-            let p = [f64::from(i * 13 % 1000), f64::from(i * 41 % 1000)];
-            for kind in [CostKind::Cpu, CostKind::DiskIo] {
-                assert_eq!(
-                    cat.predict("U1", &p, kind).unwrap().map(f64::to_bits),
-                    reference.predict("U1", &p, kind).unwrap().map(f64::to_bits),
-                    "point {p:?}"
-                );
-            }
-        }
-        assert!(cat.hibernated_names().is_empty(), "predict restored U1");
-    }
-
-    #[test]
-    fn woken_model_is_not_mistaken_for_cold() {
-        // Counters are not part of snapshots, so a restored model's
-        // cumulative count restarts below its baseline; the delta logic
-        // must count its fresh predictions, not clamp to zero.
-        let mut cat = fleet_catalog(2, 1 << 20, 1);
-        feed(&mut cat, "U0", 50, 1.0);
-        feed(&mut cat, "U1", 50, 1.0);
-        for i in 0..40u32 {
-            cat.predict("U0", &[f64::from(i), 1.0], CostKind::Cpu).unwrap();
-            cat.predict("U1", &[f64::from(i), 1.0], CostKind::Cpu).unwrap();
-        }
-        cat.arbitrate().unwrap(); // both hot, baselines stored
-        cat.arbitrate().unwrap(); // both cold one round -> hibernated
-        assert_eq!(cat.hibernated_names(), vec!["U0", "U1"]);
-        // Wake U0 with a handful of predictions.
-        for i in 0..5u32 {
-            cat.predict("U0", &[f64::from(i), 1.0], CostKind::Cpu).unwrap();
-        }
-        let report = cat.arbitrate().unwrap();
-        let u0 = report.traffic.iter().find(|(n, _)| n == "U0").unwrap().1;
-        assert!(u0 >= 5, "restored model's fresh traffic must count, got {u0}");
-        assert!(!report.hibernated.contains(&"U0".to_string()));
-        assert!(cat.hibernated_names().contains(&"U1"));
-    }
-
-    #[test]
-    fn arbitrate_without_fleet_budget_errors() {
-        let mut cat = UdfCatalog::new(4096);
-        cat.register("F", &space(2)).unwrap();
-        assert!(matches!(cat.arbitrate(), Err(MlqError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn traffic_zero_models_give_up_their_leaves_first() {
-        let mut cat = fleet_catalog(2, 3000, 0);
-        feed(&mut cat, "U0", 200, 1.0);
-        feed(&mut cat, "U1", 200, 1.0);
-        cat.arbitrate().unwrap(); // baseline round (may already evict)
-        feed(&mut cat, "U0", 200, 2.0);
-        feed(&mut cat, "U1", 200, 2.0);
-        // Only U0 serves traffic this round.
-        for i in 0..60u32 {
-            cat.predict("U0", &[f64::from(i % 30) * 33.0, 500.0], CostKind::Cpu).unwrap();
-        }
-        let before_u0 = cat.predict("U0", &[1.0, 1.0], CostKind::Cpu).unwrap();
-        let report = cat.arbitrate().unwrap();
-        assert!(report.fit);
-        let u1 = report.traffic.iter().find(|(n, _)| n == "U1").unwrap().1;
-        assert_eq!(u1, 0);
-        // U0's answers are unchanged unless U1 alone could not cover
-        // the deficit (it can here: both models are the same size).
-        assert_eq!(cat.predict("U0", &[1.0, 1.0], CostKind::Cpu).unwrap(), before_u0);
-    }
-
-    #[test]
-    fn into_models_restores_hibernated_entries() {
-        let mut cat = fleet_catalog(1, 1 << 20, 1);
-        feed(&mut cat, "U0", 80, 1.0);
-        cat.arbitrate().unwrap();
-        cat.arbitrate().unwrap();
-        assert_eq!(cat.hibernated_names(), vec!["U0"]);
-        let models = cat.into_models();
-        assert_eq!(models.len(), 1);
-        let (name, cpu, _io) = &models[0];
-        assert_eq!(name, "U0");
-        assert!(cpu.root_summary().count > 0);
-    }
-
-    #[test]
-    fn fleet_metrics_are_exported() {
-        let mut cat = fleet_catalog(2, 2048, 2);
-        feed(&mut cat, "U0", 150, 1.0);
-        feed(&mut cat, "U1", 150, 1.0);
-        cat.arbitrate().unwrap(); // cold streak 1: eviction, no hibernation yet
-        cat.arbitrate().unwrap(); // cold streak 2: both hibernate
-        let registry = mlq_obs::Registry::new();
-        cat.export_metrics(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauge("mlq_catalog_global_budget_bytes").map(|v| v as usize), Some(2048));
-        assert!(snap.counter("mlq_catalog_arbitrations") >= Some(2));
-        assert!(snap.counter("mlq_catalog_evicted_leaves").unwrap_or(0) > 0);
-        assert!(snap.counter("mlq_catalog_hibernations").unwrap_or(0) > 0);
     }
 }

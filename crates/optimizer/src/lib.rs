@@ -63,7 +63,7 @@ mod plan;
 mod predicate;
 mod selectivity;
 
-pub use catalog::{ArbitrationReport, CatalogSnapshot, FleetBudget, UdfCatalog};
+pub use catalog::{catalog_models, CatalogSnapshot, UdfCatalog};
 pub use estimator::{CostEstimator, Estimator};
 pub use executor::{ExecutionReport, FeedbackExecutor, OrderingPolicy};
 pub use plan::{JoinStats, JoinUdfPlanner, PlanEstimate, PlanShape};

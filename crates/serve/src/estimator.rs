@@ -32,11 +32,10 @@ use crate::wal::{
 };
 use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
-    GuardState, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, MlqError, Space,
-    TreeSnapshot, NODE_BYTES,
+    GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot, NODE_BYTES,
 };
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
-use mlq_optimizer::UdfCatalog;
+use mlq_optimizer::{catalog_models, UdfCatalog};
 use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -577,9 +576,10 @@ impl DurabilityCore {
     }
 }
 
-/// Registry handles for the fleet arbiter's `mlq_catalog_*` series —
-/// named after the optimizer-catalog arbiter they mirror, so a fleet
-/// served either way exposes one metric surface.
+/// Registry handles for the fleet arbiter's `mlq_catalog_*` series. The
+/// arbiter lives here, in the serving tier; the `mlq_catalog_` prefix is
+/// historical and kept because dashboards and `perfbench` read these
+/// names.
 struct FleetObs {
     global_budget: Gauge,
     live_bytes: Gauge,
@@ -1004,25 +1004,6 @@ impl PendingShard {
             detail: String::new(),
         }
     }
-}
-
-/// The builder's standard model recipe (`β = 1` CPU, `β = 10` IO, lazy
-/// insertion), shared with the replication layer so a replica group's
-/// merge base is configured identically to its replicas' live models.
-pub(crate) fn catalog_models(
-    space: &Space,
-    budget_per_model: usize,
-) -> Result<(MemoryLimitedQuadtree, MemoryLimitedQuadtree), MlqError> {
-    let build = |beta: u64| -> Result<MemoryLimitedQuadtree, MlqError> {
-        let floor = MlqConfig::min_budget(space, 6);
-        let config = MlqConfig::builder(space.clone())
-            .memory_budget(budget_per_model.max(floor))
-            .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
-            .beta(beta)
-            .build()?;
-        MemoryLimitedQuadtree::new(config)
-    };
-    Ok((build(1)?, build(10)?))
 }
 
 /// Incrementally registers UDF shards, then spawns the service.
@@ -1772,17 +1753,20 @@ impl ConcurrentEstimator {
         self.registry.snapshot()
     }
 
-    /// Current feedback lag: observations admitted but not yet applied
-    /// and republished.
+    /// Current feedback lag: observations admitted and still waiting —
+    /// queued or in flight, not yet applied and republished. Observations
+    /// a lossy [`BackpressurePolicy`] evicted from the queue will never
+    /// be applied, so they are not lag.
     #[must_use]
     pub fn feedback_lag(&self) -> u64 {
-        // Read `processed` *before* `enqueued`: both only grow, so this
-        // order can only overstate the lag. The reverse order raced with
-        // concurrent maintenance — an observation admitted and applied
-        // between the two reads underflowed the subtraction.
+        // Read `processed` first, then the queue counters (`dropped_oldest`
+        // before `enqueued`, see `QueueMetrics::view`): every term only
+        // grows, so this order can only overstate the lag. The reverse
+        // order raced with concurrent maintenance — an observation
+        // admitted and applied between the reads underflowed.
         let processed = self.processed.load(Ordering::Acquire);
-        let enqueued = self.queue.counters().enqueued;
-        enqueued.saturating_sub(processed)
+        let queue = self.queue.counters();
+        queue.enqueued.saturating_sub(queue.dropped_oldest).saturating_sub(processed)
     }
 
     /// Runs one manual maintenance step: drains up to `max` queued
@@ -1915,9 +1899,14 @@ impl ConcurrentEstimator {
     /// Blocks until every observation admitted *before this call* has
     /// been applied and republished. Under [`MaintainerMode::Manual`] the
     /// calling thread performs the maintenance itself.
+    ///
+    /// Observations a lossy [`BackpressurePolicy`] evicted from the queue
+    /// count as settled: they were admitted but will never be applied.
     pub fn flush(&self) {
         let target = self.queue.counters().enqueued;
-        while self.processed.load(Ordering::Acquire) < target {
+        let settled =
+            || self.processed.load(Ordering::Acquire) + self.queue.counters().dropped_oldest;
+        while settled() < target {
             if self.step(usize::MAX).is_err() {
                 thread::sleep(Duration::from_millis(1));
             }

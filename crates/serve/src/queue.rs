@@ -102,11 +102,13 @@ impl QueueMetrics {
     }
 
     /// Assembles the classic [`QueueCounters`] view from the registry
-    /// handles.
+    /// handles. `dropped_oldest` is read before `enqueued`, so a concurrent
+    /// evict-and-admit can only make `enqueued − dropped_oldest` overstate
+    /// the queued backlog, never understate it.
     pub(crate) fn view(&self) -> QueueCounters {
         QueueCounters {
-            enqueued: self.enqueued.get(),
             dropped_oldest: self.dropped_oldest.get(),
+            enqueued: self.enqueued.get(),
             sampled_out: self.sampled_out.get(),
             block_waits: self.block_waits.get(),
             max_depth: self.max_depth.get() as usize,

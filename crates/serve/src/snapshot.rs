@@ -102,19 +102,6 @@ impl ComponentSnapshot {
         }
     }
 
-    /// [`Self::predict`] for a pre-quantized query: the guarded read
-    /// policy over [`FrozenTree::predict_quantized`]. The shard batch
-    /// path uses this to quantize each point once for both components.
-    #[must_use]
-    pub fn predict_quantized(&self, grid: &mlq_core::GridPoint) -> Option<f64> {
-        if self.healthy {
-            if let Some(v) = self.tree.predict_quantized(grid) {
-                return Some(v);
-            }
-        }
-        self.fallback
-    }
-
     /// The frozen tree backing this component.
     #[must_use]
     pub fn tree(&self) -> &FrozenTree {

@@ -15,8 +15,9 @@ use mlq_serve::{
     BackpressurePolicy, ConcurrentEstimator, MaintainerMode, PushOutcome, ServeConfig,
 };
 use mlq_udfs::ExecutionCost;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 const SEED_MATRIX: [u64; 4] = [0x5EED, 0xBEEF, 0xC0FFEE, 1];
 
@@ -249,6 +250,48 @@ fn flush_drives_manual_maintenance_on_the_calling_thread() {
     svc.flush();
     assert_eq!(svc.feedback_lag(), 0);
     assert_eq!(svc.metrics().counter("mlq_serve_processed"), Some(10));
+}
+
+/// Lossy backpressure evicts admitted observations that will never be
+/// applied: `flush()` must settle once `processed + dropped_oldest`
+/// covers what was admitted, and `feedback_lag()` must not count the
+/// evicted ones. `flush()` runs on its own thread behind a deadline, so
+/// a regression fails here instead of hanging the suite.
+fn assert_flush_settles(policy: BackpressurePolicy) {
+    let config = ServeConfig { queue_capacity: 4, backpressure: policy, ..manual_config() };
+    let svc = Arc::new(service(config, &["F"]));
+    for i in 0..10 {
+        svc.observe("F", &[f64::from(i), 0.0], cost(3.0)).expect("observe");
+    }
+    assert!(svc.queue_counters().dropped_oldest > 0, "{policy:?}: the queue must overflow");
+
+    let (done, finished) = mpsc::channel();
+    let flusher = Arc::clone(&svc);
+    let handle = thread::spawn(move || {
+        flusher.flush();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{policy:?}: flush() did not return"));
+    handle.join().expect("flush thread panicked");
+
+    let m = svc.metrics();
+    assert_eq!(m.gauge("mlq_serve_queue_depth"), Some(0.0), "{policy:?}");
+    assert_eq!(svc.feedback_lag(), 0, "{policy:?}");
+    let queue = svc.queue_counters();
+    let processed = m.counter("mlq_serve_processed").expect("processed");
+    assert_eq!(queue.enqueued, processed + queue.dropped_oldest, "{policy:?}");
+}
+
+#[test]
+fn flush_settles_under_drop_oldest() {
+    assert_flush_settles(BackpressurePolicy::DropOldest);
+}
+
+#[test]
+fn flush_settles_under_sample() {
+    assert_flush_settles(BackpressurePolicy::Sample { keep_one_in: 2 });
 }
 
 #[test]
