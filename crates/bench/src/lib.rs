@@ -4,31 +4,25 @@
 //!
 //! * `core_ops` — MLQ predict / insert / compress microbenches (the APC
 //!   and AUC quantities of paper Eqs. 1–2);
+//! * `descent` — the frozen read path: scalar descent, the multi-lane
+//!   batched kernel, and copy-on-write republication;
 //! * `baseline_ops` — SH-W / SH-H fit and predict;
 //! * `udf_exec` — raw execution cost of the six real UDFs;
 //! * `figures` — one bench per paper figure (8, 9, 10, 11, 12), running
 //!   the same harness code as the `mlq-exp` binary at reduced scale;
 //! * `ablations` — the parameter-sweep harness;
 //! * `optimizer` — predicate-ordering policies end to end;
-//! * `serve` — concurrent serving-layer predict/observe throughput.
+//! * `lifecycle` — snapshot/restore, merging, trace replay, drift;
+//! * `bakeoff` — the bake-off contenders through the `Estimator` seam;
+//! * `anti_entropy` — one replica-group anti-entropy round.
 //!
-//! Beyond the Criterion benches, the crate ships the `mlq-bench` binary:
-//! `mlq-bench --throughput` runs the [`throughput`] harness and writes
-//! `BENCH_serve.json`; `mlq-bench --predict` runs the [`predict`]
-//! single-vs-batched read-path microbench and writes
-//! `BENCH_predict.json`; `mlq-bench --fleet` runs the [`fleet`]
-//! budget-arbitration bench and writes `BENCH_fleet.json`;
-//! `mlq-bench --gate` / `--gate-predict` / `--gate-fleet` compare
-//! such reports against the checked-in baselines (the CI regression
-//! gates, see [`report`], [`predict`], and [`fleet`]).
+//! The served predict → execute → observe loop is measured end to end
+//! and layer by layer by the separate `perfbench/` package
+//! (`python3 perfbench/run.py`), not here. This crate only holds the
+//! fixtures the microbenches share.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
-
-pub mod fleet;
-pub mod predict;
-pub mod report;
-pub mod throughput;
 
 use mlq_core::{InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space};
 use mlq_synth::{CostSurface, QueryDistribution, SyntheticUdf};

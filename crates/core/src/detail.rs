@@ -47,26 +47,15 @@ impl MemoryLimitedQuadtree {
         beta: u64,
     ) -> Result<Option<PredictionDetail>, MlqError> {
         let grid = self.config().space.grid_point(point)?;
-        let root = self.arena.get(self.root);
-        if root.summary.count == 0 {
-            return Ok(None);
-        }
-        let mut best = root;
-        let mut cn = root;
-        while cn.summary.count >= beta {
-            best = cn;
-            let slot = grid.child_slot(u32::from(cn.depth));
-            match cn.child(slot) {
-                Some(child) => cn = self.arena.get(child),
-                None => break,
+        let (answer, _) = self.predict_inner(&grid, beta);
+        Ok(answer.map(|node| {
+            let s = node.summary;
+            PredictionDetail {
+                value: s.avg(),
+                count: s.count,
+                std_dev: if s.count == 0 { 0.0 } else { (s.sse() / s.count as f64).sqrt() },
+                depth: node.depth,
             }
-        }
-        let s = best.summary;
-        Ok(Some(PredictionDetail {
-            value: s.avg(),
-            count: s.count,
-            std_dev: if s.count == 0 { 0.0 } else { (s.sse() / s.count as f64).sqrt() },
-            depth: best.depth,
         }))
     }
 }

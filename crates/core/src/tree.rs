@@ -212,27 +212,31 @@ impl MemoryLimitedQuadtree {
         let grid = self.config.space.grid_point(point)?;
         let start = Instant::now();
 
-        let (result, nodes_visited) = self.predict_inner(&grid, beta);
+        let (answer, nodes_visited) = self.predict_inner(&grid, beta);
 
         self.counters.note_predict(
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             nodes_visited,
         );
-        Ok(result)
+        Ok(answer.map(|node| node.summary.avg()))
     }
 
-    fn predict_inner(&self, grid: &GridPoint, beta: u64) -> (Option<f64>, u64) {
+    /// The Fig. 3 descent on the live tree: the answering block (the
+    /// deepest on the point's path holding at least `beta` data points,
+    /// else the root) and the number of nodes visited. `None` while the
+    /// model has seen no data. Touches no counters.
+    pub(crate) fn predict_inner(&self, grid: &GridPoint, beta: u64) -> (Option<&Node>, u64) {
         let root = self.arena.get(self.root);
         if root.summary.count == 0 {
             return (None, 1);
         }
-        let mut best = root.summary;
+        let mut best = root;
         let mut cn = root;
         let mut visited = 1u64;
         // Counts are non-increasing along the path, so stop as soon as a
         // block falls below beta.
         while cn.summary.count >= beta {
-            best = cn.summary;
+            best = cn;
             let slot = grid.child_slot(u32::from(cn.depth));
             match cn.child(slot) {
                 Some(child) => {
@@ -242,7 +246,7 @@ impl MemoryLimitedQuadtree {
                 None => break,
             }
         }
-        (Some(best.avg()), visited)
+        (Some(best), visited)
     }
 
     /// Inserts the observed actual cost `value` at `point` (paper Fig. 4),

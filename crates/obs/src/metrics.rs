@@ -62,9 +62,9 @@ impl Counter {
 
     /// Mirrors an externally accumulated monotonic total into this
     /// counter: the stored value only ever moves up to `total`. Lets a
-    /// subsystem that keeps its own cumulative counts (e.g. a model's
-    /// [`ModelCounters`](../../mlq_core) or a buffer pool's `IoStats`)
-    /// export them without double counting across repeated exports.
+    /// subsystem that keeps its own cumulative counts (e.g. a buffer
+    /// pool's `IoStats`) export them without double counting across
+    /// repeated exports.
     pub fn record_total(&self, total: u64) {
         self.0.fetch_max(total, Ordering::Relaxed);
     }

@@ -374,9 +374,8 @@ impl RegistrySnapshot {
 
     /// Parses text produced by [`RegistrySnapshot::to_prometheus_text`]
     /// back into a snapshot. This is a deliberately tiny parser for the
-    /// round-trip property test and the bench harness's gate — it handles
-    /// exactly the subset this crate emits, not arbitrary Prometheus
-    /// input.
+    /// round-trip property tests — it handles exactly the subset this
+    /// crate emits, not arbitrary Prometheus input.
     ///
     /// # Errors
     ///

@@ -32,7 +32,8 @@ use crate::wal::{
 };
 use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
-    GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot, NODE_BYTES,
+    GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, ModelCounters, Space, TreeSnapshot,
+    NODE_BYTES,
 };
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
 use mlq_optimizer::{catalog_models, UdfCatalog};
@@ -163,10 +164,13 @@ impl ServeConfig {
     }
 }
 
-/// Cached registry handles mirroring one live model's cumulative
-/// [`ModelCounters`](mlq_core::ModelCounters) (series
-/// `mlq_core_*{udf=...,component=...}`). Handles are resolved once at
-/// shard construction so the per-publish export is pure atomic stores.
+/// Cached registry handles accumulating one shard component's
+/// [`ModelCounters`] (series `mlq_core_*{udf=...,component=...}`).
+/// Handles are resolved once at shard construction so the per-publish
+/// export is pure atomic adds. Each export adds what the live model did
+/// since the previous export, so the series keep counting when the
+/// model is swapped for one whose own counters start elsewhere
+/// (hibernation stub, restored envelope, installed replica merge).
 struct ModelObs {
     predictions: Counter,
     predict_nanos: Counter,
@@ -179,6 +183,8 @@ struct ModelObs {
     lazy_skips: Counter,
     freezes: Counter,
     freeze_nanos: Counter,
+    /// The live model's counters as of the last export or model swap.
+    exported: ModelCounters,
 }
 
 impl ModelObs {
@@ -197,21 +203,25 @@ impl ModelObs {
             lazy_skips: handle("mlq_core_lazy_skips"),
             freezes: handle("mlq_core_freezes"),
             freeze_nanos: handle("mlq_core_freeze_nanos"),
+            exported: ModelCounters::default(),
         }
     }
 
-    fn export(&self, c: &mlq_core::ModelCounters) {
-        self.predictions.record_total(c.predictions);
-        self.predict_nanos.record_total(c.predict_nanos);
-        self.predict_nodes_visited.record_total(c.predict_nodes_visited);
-        self.insertions.record_total(c.insertions);
-        self.insert_nanos.record_total(c.insert_nanos);
-        self.compressions.record_total(c.compressions);
-        self.compress_nanos.record_total(c.compress_nanos);
-        self.sseg_evictions.record_total(c.sseg_evictions);
-        self.lazy_skips.record_total(c.lazy_skips);
-        self.freezes.record_total(c.freezes);
-        self.freeze_nanos.record_total(c.freeze_nanos);
+    /// Adds the live model's counts since the last export.
+    fn export(&mut self, c: ModelCounters) {
+        let was = std::mem::replace(&mut self.exported, c);
+        let add = |counter: &Counter, now: u64, then: u64| counter.add(now.saturating_sub(then));
+        add(&self.predictions, c.predictions, was.predictions);
+        add(&self.predict_nanos, c.predict_nanos, was.predict_nanos);
+        add(&self.predict_nodes_visited, c.predict_nodes_visited, was.predict_nodes_visited);
+        add(&self.insertions, c.insertions, was.insertions);
+        add(&self.insert_nanos, c.insert_nanos, was.insert_nanos);
+        add(&self.compressions, c.compressions, was.compressions);
+        add(&self.compress_nanos, c.compress_nanos, was.compress_nanos);
+        add(&self.sseg_evictions, c.sseg_evictions, was.sseg_evictions);
+        add(&self.lazy_skips, c.lazy_skips, was.lazy_skips);
+        add(&self.freezes, c.freezes, was.freezes);
+        add(&self.freeze_nanos, c.freeze_nanos, was.freeze_nanos);
     }
 }
 
@@ -285,8 +295,8 @@ impl ShardModels {
 
     fn snapshot(&mut self, io_weight: f64) -> ShardSnapshot {
         self.version.inc();
-        self.cpu_obs.export(&self.cpu.inner().counters());
-        self.io_obs.export(&self.io.inner().counters());
+        self.cpu_obs.export(self.cpu.inner().counters());
+        self.io_obs.export(self.io.inner().counters());
         let counters = ShardCounters {
             version: self.version.get(),
             applied: self.applied.get(),
@@ -321,6 +331,24 @@ impl ShardModels {
         } else {
             snap
         }
+    }
+
+    /// Swaps in new CPU and IO models (hibernation stub, woken envelope,
+    /// installed merge). What the outgoing models counted since the last
+    /// publish is exported first, and the export then counts from the
+    /// incoming models' own counters. Fresh trees carry fresh identities,
+    /// so the previous frozen snapshots can never be patched against
+    /// them; they are dropped and the next publication freezes from
+    /// scratch.
+    fn replace_models(&mut self, cpu: MemoryLimitedQuadtree, io: MemoryLimitedQuadtree) {
+        self.cpu_obs.export(self.cpu.inner().counters());
+        self.io_obs.export(self.io.inner().counters());
+        *self.cpu.inner_mut() = cpu;
+        *self.io.inner_mut() = io;
+        self.cpu_obs.exported = self.cpu.inner().counters();
+        self.io_obs.exported = self.io.inner().counters();
+        self.prev_cpu = None;
+        self.prev_io = None;
     }
 
     /// Applies one observation to both components, mirroring
@@ -806,12 +834,7 @@ impl MaintainerCore {
             cpu_guard: shard.cpu.export_state(),
             io_guard: shard.io.export_state(),
         }));
-        *shard.cpu.inner_mut() = cpu_stub;
-        *shard.io.inner_mut() = io_stub;
-        // The stand-ins carry fresh tree identities: the previous frozen
-        // snapshots can never be patched against them.
-        shard.prev_cpu = None;
-        shard.prev_io = None;
+        shard.replace_models(cpu_stub, io_stub);
         fleet.obs.hibernations.inc();
         self.publish(idx, published);
     }
@@ -831,12 +854,9 @@ impl MaintainerCore {
         };
         match (restore(&h.cpu_env), restore(&h.io_env)) {
             (Ok(cpu), Ok(io)) => {
-                *shard.cpu.inner_mut() = cpu;
-                *shard.io.inner_mut() = io;
+                shard.replace_models(cpu, io);
                 shard.cpu.import_state(h.cpu_guard);
                 shard.io.import_state(h.io_guard);
-                shard.prev_cpu = None;
-                shard.prev_io = None;
                 fleet.cold_rounds[idx] = 0;
                 fleet.obs.restores.inc();
                 self.publish(idx, published);
@@ -1048,7 +1068,7 @@ impl ConcurrentEstimatorBuilder {
     }
 
     /// Records metrics into `registry` instead of a private one — lets an
-    /// embedding application (or the bench harness) aggregate serving
+    /// embedding application (or a replica group) aggregate serving
     /// metrics with its own in a single exposition.
     #[must_use]
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
@@ -1879,13 +1899,7 @@ impl ConcurrentEstimator {
                 if !io_delta.is_empty() {
                     io.merge_from(io_delta.tree())?;
                 }
-                *shard.cpu.inner_mut() = cpu;
-                *shard.io.inner_mut() = io;
-                // Fresh trees carry fresh identities, so the previous
-                // frozen snapshots can never be patched against them;
-                // drop them so the next publication freezes from scratch.
-                shard.prev_cpu = None;
-                shard.prev_io = None;
+                shard.replace_models(cpu, io);
                 // The merged models supersede whatever was spilled at
                 // hibernation time; dropping the envelopes also makes
                 // the published snapshot live again.

@@ -402,3 +402,47 @@ fn traffic_deltas_partition_reads_under_concurrency() {
     );
     svc.shutdown();
 }
+
+/// Regression: `mlq_core_*` counters keep counting across a model swap.
+/// A woken shard runs on a model restored from its envelope, whose own
+/// counters start at zero; the export must add what each incarnation
+/// did rather than stall until the new model passes the old one's
+/// high-water mark.
+#[test]
+fn core_counters_count_across_hibernation() {
+    let names = model_names(1);
+    let svc = build(
+        &names,
+        serve_config(Some(FleetConfig { global_budget: 1 << 30, hibernate_after: 1 }), 1 << 20),
+    );
+    let mut rng = SplitMix64(harness_seed() ^ 0xC0DE);
+    let mut train = |n: usize| {
+        for _ in 0..n {
+            let point = [rng.next_f64() * 1000.0, rng.next_f64() * 1000.0];
+            let cost = ExecutionCost { cpu: 1.0 + rng.next_f64() * 99.0, io: 1.0, results: 1 };
+            svc.observe("M0", &point, cost).unwrap();
+        }
+        svc.flush();
+    };
+
+    // First incarnation: train, then step with no reads until it sleeps.
+    train(200);
+    let mut rounds = 0;
+    while !svc.is_hibernated("M0").unwrap() {
+        svc.step(64).unwrap();
+        rounds += 1;
+        assert!(rounds < 50, "M0 never hibernated after {rounds} idle rounds");
+    }
+    // Second incarnation: feedback wakes the shard, then trains it more
+    // (the idle round after the flush puts it back to sleep). Fewer
+    // inserts than the first, so a high-water-mark export would stay
+    // stuck at the first incarnation's count.
+    train(150);
+
+    let guard = svc.counters("M0").unwrap().cpu_guard;
+    assert_eq!(guard.quarantined + guard.rejected_points + guard.inner_errors, 0);
+    let insertions = svc.metrics().counter(r#"mlq_core_insertions{udf="M0",component="cpu"}"#);
+    assert_eq!(insertions, Some(350), "CPU inserts accepted across both incarnations");
+    assert!(svc.metrics().counter("mlq_catalog_restores").unwrap_or(0) > 0, "no wake");
+    svc.shutdown();
+}

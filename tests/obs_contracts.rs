@@ -7,8 +7,9 @@
 //! * [`RegistrySnapshot::merge`] is commutative and associative, so
 //!   per-run and per-shard snapshots can be combined in any order;
 //! * the Prometheus text exposition round-trips exactly through
-//!   [`RegistrySnapshot::parse_prometheus_text`] — what `mlq-bench
-//!   --metrics-out` writes is what a consumer reads back.
+//!   [`RegistrySnapshot::parse_prometheus_text`] — what
+//!   [`RegistrySnapshot::to_prometheus_text`] writes is what a consumer
+//!   reads back.
 
 use mlq_obs::{
     bucket_index, bucket_upper_bound, labeled, Registry, RegistrySnapshot, HISTOGRAM_BUCKETS,
