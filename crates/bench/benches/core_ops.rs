@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlq_bench::{standard_model, standard_workload};
-use mlq_core::InsertionStrategy;
+use mlq_core::{InsertionStrategy, MemoryLimitedQuadtree};
 use std::hint::black_box;
 
 fn bench_predict(c: &mut Criterion) {
@@ -48,6 +48,7 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
+/// A γ-sized pass over a big (1 MiB) eager tree.
 fn bench_compress(c: &mut Criterion) {
     let (points, actuals) = standard_workload(2000, 13);
     c.bench_function("mlq_compress_pass", |b| {
@@ -66,5 +67,42 @@ fn bench_compress(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_predict, bench_insert, bench_compress);
+/// The served case: a 4-D lazy tree (`α = 0.05`, 64 KiB) already at its
+/// budget, timed on the one insert that pushes it over and so runs a
+/// compression pass. Set-up replays the stream to just before that
+/// insert, so every iteration times the same pass.
+fn bench_compress_at_budget(c: &mut Criterion) {
+    let (points, actuals) = standard_workload(20_000, 14);
+    let strategy = InsertionStrategy::Lazy { alpha: 0.05 };
+    let mut base = standard_model(64 << 10, strategy);
+    let insert = |m: &mut MemoryLimitedQuadtree, i: usize| {
+        m.insert(&points[i], actuals[i]).unwrap().compression.is_some()
+    };
+    // Fill to the budget: stop after the first compression.
+    let filled =
+        (0..points.len()).find(|&i| insert(&mut base, i)).expect("stream fills the budget");
+    // Find the next insert that compresses, then replay up to just before it.
+    let mut probe = base.clone();
+    let trigger = (filled + 1..points.len())
+        .find(|&i| insert(&mut probe, i))
+        .expect("stream overfills the budget again");
+    for i in filled + 1..trigger {
+        insert(&mut base, i);
+    }
+    let (point, actual) = (&points[trigger], actuals[trigger]);
+    c.bench_function("mlq_compress_at_budget", |b| {
+        b.iter_batched(
+            || base.clone(),
+            |mut model| {
+                let outcome = model.insert(black_box(point), actual).unwrap();
+                // Hand the tree back so a harness that drops outputs
+                // untimed does not charge its deallocation to the pass.
+                (outcome, model)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+criterion_group!(benches, bench_predict, bench_insert, bench_compress, bench_compress_at_budget);
 criterion_main!(benches);

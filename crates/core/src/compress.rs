@@ -22,6 +22,7 @@
 use crate::fleet::{evict_pass, FleetModel};
 use crate::tree::MemoryLimitedQuadtree;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Outcome of one compression pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,11 +34,11 @@ pub struct CompressionReport {
 }
 
 impl MemoryLimitedQuadtree {
-    /// The slot path from the root down to `node`, the structure-intrinsic
-    /// identity compression uses to break SSEG ties. Fleet-level eviction
-    /// ([`crate::fleet`]) reuses the same identity so cross-model passes
-    /// inherit the snapshot-stable determinism proven for single-model
-    /// compression.
+    /// The slot path from the root down to `node`: the structure-intrinsic
+    /// identity that breaks SSEG ties, so a snapshot-restored tree evicts
+    /// exactly what the live tree would. The eviction pass compares it
+    /// without materializing it ([`Self::cmp_root_paths`]); this form
+    /// serves [`Self::leaf_ssegs`] and tests.
     pub(crate) fn root_path(&self, node: u32) -> Vec<u16> {
         let mut path = Vec::new();
         let mut cur = node;
@@ -48,6 +49,32 @@ impl MemoryLimitedQuadtree {
         }
         path.reverse();
         path
+    }
+
+    /// Orders two nodes by root path exactly as comparing their
+    /// [`Self::root_path`]s would (slot by slot, a proper prefix first),
+    /// but by walking parent links instead of materializing either path:
+    /// lift the deeper node to the other's depth, then climb both to the
+    /// children of their common ancestor and compare those slots.
+    pub(crate) fn cmp_root_paths(&self, a: u32, b: u32) -> Ordering {
+        let node = |idx: u32| self.arena.get(idx);
+        let (depth_a, depth_b) = (node(a).depth, node(b).depth);
+        let (mut a, mut b) = (a, b);
+        while node(a).depth > depth_b {
+            a = node(a).parent;
+        }
+        while node(b).depth > depth_a {
+            b = node(b).parent;
+        }
+        if a == b {
+            // One path is a prefix of the other: the shorter sorts first.
+            return depth_a.cmp(&depth_b);
+        }
+        while node(a).parent != node(b).parent {
+            a = node(a).parent;
+            b = node(b).parent;
+        }
+        node(a).slot_in_parent.cmp(&node(b).slot_in_parent)
     }
 
     /// Runs one compression pass (paper Fig. 6) and reports what was freed.

@@ -25,8 +25,7 @@
 use crate::node::NIL;
 use crate::tree::MemoryLimitedQuadtree;
 use crate::MlqError;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 /// One model's view into a fleet eviction pass: the tree plus its
 /// traffic weight (typically its share of predict traffic since the
@@ -100,7 +99,7 @@ impl MemoryLimitedQuadtree {
 }
 
 /// Heap entry for the eviction pass. Ordered ascending by
-/// `(key, weight, model, path)`:
+/// `(key, weight, model, root path)`:
 ///
 /// * `key = weight · sseg` — the traffic-weighted accuracy cost of the
 ///   eviction;
@@ -115,31 +114,20 @@ impl MemoryLimitedQuadtree {
 /// behaviorally identical trees can disagree on them. The slot path from
 /// the root depends only on which blocks exist — a restored tree evicts
 /// exactly the leaves the live tree would have, which is what the serving
-/// layer's crash-recovery equivalence invariant rests on.
+/// layer's crash-recovery equivalence invariant rests on. The path is
+/// never stored: exact `(key, weight, model)` ties compare it through the
+/// tree's parent links ([`MemoryLimitedQuadtree::cmp_root_paths`]), so a
+/// candidate is plain data and seeding a pass allocates nothing per leaf.
+#[derive(Debug, Clone, Copy)]
 struct FleetCandidate {
     key: f64,
     weight: f64,
     model: usize,
-    path: Vec<u16>,
     node: u32,
 }
 
-impl PartialEq for FleetCandidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for FleetCandidate {}
-
-impl PartialOrd for FleetCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FleetCandidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl FleetCandidate {
+    fn cmp(&self, other: &Self, models: &[FleetModel<'_>]) -> Ordering {
         // Keys and weights are finite and non-negative (validated and
         // normalized at entry), so total_cmp is a plain total order and
         // -0.0 cannot sort below 0.0.
@@ -147,7 +135,64 @@ impl Ord for FleetCandidate {
             .total_cmp(&other.key)
             .then_with(|| self.weight.total_cmp(&other.weight))
             .then_with(|| self.model.cmp(&other.model))
-            .then_with(|| self.path.cmp(&other.path))
+            .then_with(|| models[self.model].model.cmp_root_paths(self.node, other.node))
+    }
+}
+
+/// Binary min-heap of [`FleetCandidate`]s. Hand-rolled rather than a
+/// `BinaryHeap` because the order reads the models (for root paths),
+/// which the pass mutates between pops.
+struct CandidateHeap(Vec<FleetCandidate>);
+
+impl CandidateHeap {
+    /// Heapifies `items` in one O(n) pass. The order is total, so pops do
+    /// not depend on how the heap was built.
+    fn new(items: Vec<FleetCandidate>, models: &[FleetModel<'_>]) -> Self {
+        let mut heap = CandidateHeap(items);
+        for i in (0..heap.0.len() / 2).rev() {
+            heap.sift_down(i, models);
+        }
+        heap
+    }
+
+    fn less(&self, i: usize, j: usize, models: &[FleetModel<'_>]) -> bool {
+        self.0[i].cmp(&self.0[j], models) == Ordering::Less
+    }
+
+    fn sift_down(&mut self, mut i: usize, models: &[FleetModel<'_>]) {
+        let n = self.0.len();
+        loop {
+            let mut least = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < n && self.less(child, least, models) {
+                    least = child;
+                }
+            }
+            if least == i {
+                return;
+            }
+            self.0.swap(i, least);
+            i = least;
+        }
+    }
+
+    fn push(&mut self, candidate: FleetCandidate, models: &[FleetModel<'_>]) {
+        self.0.push(candidate);
+        let mut i = self.0.len() - 1;
+        while i > 0 && self.less(i, (i - 1) / 2, models) {
+            self.0.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+    }
+
+    fn pop(&mut self, models: &[FleetModel<'_>]) -> Option<FleetCandidate> {
+        let last = self.0.pop()?;
+        if self.0.is_empty() {
+            return Some(last);
+        }
+        let top = std::mem::replace(&mut self.0[0], last);
+        self.sift_down(0, models);
+        Some(top)
     }
 }
 
@@ -214,16 +259,26 @@ pub(crate) fn evict_pass(
     budget: usize,
     min_freed: usize,
 ) -> FleetEvictionReport {
+    evict_pass_observed(models, budget, min_freed, |_, _, _| {})
+}
+
+/// [`evict_pass`], calling `on_evict(model index, model, leaf)` just
+/// before each leaf is evicted.
+fn evict_pass_observed(
+    models: &mut [FleetModel<'_>],
+    budget: usize,
+    min_freed: usize,
+    mut on_evict: impl FnMut(usize, &MemoryLimitedQuadtree, u32),
+) -> FleetEvictionReport {
     let mut per_model = vec![ModelEviction::default(); models.len()];
     let mut total: usize = models.iter().map(|fm| fm.model.bytes_used()).sum();
     if min_freed == 0 && total <= budget {
         return FleetEvictionReport { nodes_freed: 0, bytes_freed: 0, per_model, fit: true };
     }
 
-    // Fig. 6 line 1: every leaf enters the priority queue (heapified in
-    // one O(n) pass; the order is total, so pops do not depend on how
-    // the heap was built).
-    let mut seed: Vec<Reverse<FleetCandidate>> = Vec::new();
+    // Fig. 6 line 1: every leaf enters the priority queue.
+    let live: usize = models.iter().map(|fm| fm.model.node_count()).sum();
+    let mut seed = Vec::with_capacity(live);
     for (mi, fm) in models.iter().enumerate() {
         // Normalize -0.0 so the weight tie-break cannot distinguish it
         // from +0.0 (total_cmp would order -0.0 first).
@@ -236,23 +291,18 @@ pub(crate) fn evict_pass(
             }
             let parent_avg = m.arena.get(node.parent).summary.avg();
             let sseg = node.summary.sseg(parent_avg);
-            seed.push(Reverse(FleetCandidate {
-                key: weight * sseg,
-                weight,
-                model: mi,
-                path: m.root_path(idx),
-                node: idx,
-            }));
+            seed.push(FleetCandidate { key: weight * sseg, weight, model: mi, node: idx });
         }
     }
-    let mut heap = BinaryHeap::from(seed);
+    let mut heap = CandidateHeap::new(seed, models);
 
     let mut nodes_freed = 0usize;
     let mut bytes_freed = 0usize;
     while bytes_freed < min_freed || total > budget {
-        let Some(Reverse(FleetCandidate { weight, model: mi, node, .. })) = heap.pop() else {
+        let Some(FleetCandidate { weight, model: mi, node, .. }) = heap.pop(models) else {
             break; // every model is down to its root
         };
+        on_evict(mi, models[mi].model, node);
         let m = &mut *models[mi].model;
         let (bytes, newly_leaf) = m.evict_leaf(node);
         total -= bytes;
@@ -268,13 +318,9 @@ pub(crate) fn evict_pass(
                 debug_assert_ne!(grand, NIL);
                 let parent_avg = m.arena.get(grand).summary.avg();
                 let sseg = m.arena.get(parent).summary.sseg(parent_avg);
-                heap.push(Reverse(FleetCandidate {
-                    key: weight * sseg,
-                    weight,
-                    model: mi,
-                    path: m.root_path(parent),
-                    node: parent,
-                }));
+                let candidate =
+                    FleetCandidate { key: weight * sseg, weight, model: mi, node: parent };
+                heap.push(candidate, models);
             }
         }
     }
@@ -285,6 +331,244 @@ pub(crate) fn evict_pass(
 mod tests {
     use super::*;
     use crate::{InsertionStrategy, MlqConfig, Space, NODE_BYTES};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The pass as first written: every candidate carries its
+    /// materialized root path, and a `BinaryHeap` orders them. The
+    /// lazy-path pass must evict the same leaves in the same order.
+    struct PathCandidate {
+        key: f64,
+        weight: f64,
+        model: usize,
+        path: Vec<u16>,
+        node: u32,
+    }
+
+    impl PartialEq for PathCandidate {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl Eq for PathCandidate {}
+
+    impl PartialOrd for PathCandidate {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for PathCandidate {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.key
+                .total_cmp(&other.key)
+                .then_with(|| self.weight.total_cmp(&other.weight))
+                .then_with(|| self.model.cmp(&other.model))
+                .then_with(|| self.path.cmp(&other.path))
+        }
+    }
+
+    fn reference_evict_pass(
+        models: &mut [FleetModel<'_>],
+        budget: usize,
+        min_freed: usize,
+        mut on_evict: impl FnMut(usize, &MemoryLimitedQuadtree, u32),
+    ) -> FleetEvictionReport {
+        let mut per_model = vec![ModelEviction::default(); models.len()];
+        let mut total: usize = models.iter().map(|fm| fm.model.bytes_used()).sum();
+        if min_freed == 0 && total <= budget {
+            return FleetEvictionReport { nodes_freed: 0, bytes_freed: 0, per_model, fit: true };
+        }
+        let mut seed: Vec<Reverse<PathCandidate>> = Vec::new();
+        for (mi, fm) in models.iter().enumerate() {
+            let weight = fm.weight + 0.0;
+            let m = &*fm.model;
+            for (idx, node) in m.arena.iter_live() {
+                if idx == m.root || !node.is_leaf() {
+                    continue;
+                }
+                let parent_avg = m.arena.get(node.parent).summary.avg();
+                let sseg = node.summary.sseg(parent_avg);
+                seed.push(Reverse(PathCandidate {
+                    key: weight * sseg,
+                    weight,
+                    model: mi,
+                    path: m.root_path(idx),
+                    node: idx,
+                }));
+            }
+        }
+        let mut heap = BinaryHeap::from(seed);
+        let mut nodes_freed = 0usize;
+        let mut bytes_freed = 0usize;
+        while bytes_freed < min_freed || total > budget {
+            let Some(Reverse(PathCandidate { weight, model: mi, node, .. })) = heap.pop() else {
+                break;
+            };
+            on_evict(mi, models[mi].model, node);
+            let m = &mut *models[mi].model;
+            let (bytes, newly_leaf) = m.evict_leaf(node);
+            total -= bytes;
+            bytes_freed += bytes;
+            nodes_freed += 1;
+            per_model[mi].nodes_freed += 1;
+            per_model[mi].bytes_freed += bytes;
+            if let Some(parent) = newly_leaf {
+                if parent != m.root {
+                    let grand = m.arena.get(parent).parent;
+                    let parent_avg = m.arena.get(grand).summary.avg();
+                    let sseg = m.arena.get(parent).summary.sseg(parent_avg);
+                    heap.push(Reverse(PathCandidate {
+                        key: weight * sseg,
+                        weight,
+                        model: mi,
+                        path: m.root_path(parent),
+                        node: parent,
+                    }));
+                }
+            }
+        }
+        FleetEvictionReport { nodes_freed, bytes_freed, per_model, fit: total <= budget }
+    }
+
+    /// One fleet member: how to grow it, its weight, and whether to
+    /// evict from a snapshot-restored (renumbered) copy.
+    #[derive(Debug, Clone)]
+    struct MemberSpec {
+        lazy: bool,
+        lambda: u8,
+        budget: usize,
+        points: Vec<(f64, f64, f64)>,
+        weight: f64,
+        restored: bool,
+    }
+
+    fn arb_member() -> impl Strategy<Value = MemberSpec> {
+        (
+            (any::<bool>(), 2u8..6, 2048usize..16384),
+            prop::collection::vec((0.0..1000.0f64, 0.0..1000.0f64, 0u32..4), 0..120),
+            any::<bool>(),
+            prop_oneof![Just(0.0), Just(-0.0), Just(0.5), Just(1.0), Just(3.0)],
+            any::<bool>(),
+        )
+            .prop_map(|((lazy, lambda, budget), raw, all_equal, weight, restored)| {
+                MemberSpec {
+                    lazy,
+                    lambda,
+                    budget,
+                    // All-equal costs make every SSEG zero: ties everywhere,
+                    // decided by the root path alone.
+                    points: raw
+                        .into_iter()
+                        .map(|(x, y, v)| (x, y, if all_equal { 5.0 } else { f64::from(v) * 10.0 }))
+                        .collect(),
+                    weight,
+                    restored,
+                }
+            })
+    }
+
+    fn build_member(spec: &MemberSpec) -> MemoryLimitedQuadtree {
+        let space = Space::cube(2, 0.0, 1000.0).unwrap();
+        let strategy = if spec.lazy {
+            InsertionStrategy::Lazy { alpha: 0.05 }
+        } else {
+            InsertionStrategy::Eager
+        };
+        let config = MlqConfig::builder(space.clone())
+            .memory_budget(spec.budget.max(MlqConfig::min_budget(&space, spec.lambda)))
+            .strategy(strategy)
+            .lambda(spec.lambda)
+            .build()
+            .unwrap();
+        let mut m = MemoryLimitedQuadtree::new(config).unwrap();
+        for &(x, y, v) in &spec.points {
+            m.insert(&[x, y], v).unwrap();
+        }
+        if spec.restored {
+            m = MemoryLimitedQuadtree::from_snapshot(&m.snapshot()).unwrap();
+        }
+        m
+    }
+
+    type Pass = fn(
+        &mut [FleetModel<'_>],
+        usize,
+        usize,
+        &mut dyn FnMut(usize, &MemoryLimitedQuadtree, u32),
+    ) -> FleetEvictionReport;
+
+    /// What one pass did to a fleet.
+    #[derive(Debug, PartialEq)]
+    struct FleetRun {
+        /// `(model, root path)` of each evicted leaf, in eviction order.
+        order: Vec<(usize, Vec<u16>)>,
+        report: FleetEvictionReport,
+        /// The surviving trees.
+        shapes: Vec<TreeShape>,
+    }
+
+    /// Runs `pass` over a fresh build of the fleet.
+    fn run_fleet(specs: &[MemberSpec], budget_frac: f64, min_freed: usize, pass: Pass) -> FleetRun {
+        let mut trees: Vec<MemoryLimitedQuadtree> = specs.iter().map(build_member).collect();
+        let total: usize = trees.iter().map(MemoryLimitedQuadtree::bytes_used).sum();
+        let budget = (total as f64 * budget_frac) as usize;
+        let mut fleet: Vec<FleetModel<'_>> = trees
+            .iter_mut()
+            .zip(specs)
+            .map(|(model, spec)| FleetModel { weight: spec.weight, model })
+            .collect();
+        let mut order = Vec::new();
+        let report = pass(&mut fleet, budget, min_freed, &mut |mi, m, node| {
+            order.push((mi, m.root_path(node)));
+        });
+        drop(fleet);
+        FleetRun { order, report, shapes: trees.iter().map(shape).collect() }
+    }
+
+    type TreeShape = Vec<(Vec<u16>, u64)>;
+
+    fn shape(m: &MemoryLimitedQuadtree) -> TreeShape {
+        let mut paths: TreeShape =
+            m.arena.iter_live().map(|(idx, node)| (m.root_path(idx), node.summary.count)).collect();
+        paths.sort_unstable();
+        paths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lazy_path_pass_matches_the_materialized_path_reference(
+            specs in prop::collection::vec(arb_member(), 1..5),
+            budget_frac in 0.0..1.0f64,
+            min_freed in prop_oneof![Just(0usize), 1usize..4096],
+        ) {
+            let fast = run_fleet(&specs, budget_frac, min_freed, |f, b, m, log| {
+                evict_pass_observed(f, b, m, log)
+            });
+            let slow = run_fleet(&specs, budget_frac, min_freed, |f, b, m, log| {
+                reference_evict_pass(f, b, m, log)
+            });
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn root_path_order_matches_materialized_paths() {
+        // Every pair of live nodes, including ancestor/descendant pairs
+        // (where one path is a prefix of the other).
+        let mut m = model(&grid(24, |i| f64::from(i % 5)));
+        m = MemoryLimitedQuadtree::from_snapshot(&m.snapshot()).unwrap();
+        let nodes: Vec<u32> = m.arena.iter_live().map(|(idx, _)| idx).collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                assert_eq!(m.cmp_root_paths(a, b), m.root_path(a).cmp(&m.root_path(b)), "{a} {b}");
+            }
+        }
+    }
 
     fn model(seed_values: &[(f64, f64, f64)]) -> MemoryLimitedQuadtree {
         let space = Space::cube(2, 0.0, 1000.0).unwrap();

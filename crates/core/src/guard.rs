@@ -34,7 +34,7 @@
 
 use crate::error::MlqError;
 use crate::model::CostModel;
-use crate::space::Space;
+use crate::space::{Space, MAX_DIMS};
 use crate::summary::Summary;
 use crate::tree::MemoryLimitedQuadtree;
 use std::cell::Cell;
@@ -219,8 +219,8 @@ pub struct GuardedModel<M: CostModel> {
     config: GuardConfig,
     check: Option<InvariantCheck<M>>,
     state: BreakerState,
-    /// Recently accepted costs, oldest first.
-    window: VecDeque<f64>,
+    /// Recently accepted costs, with their sorted mirror.
+    window: CostWindow,
     /// Running average of every accepted cost (the degraded-mode model).
     fallback: Summary,
     consecutive_failures: u32,
@@ -249,7 +249,7 @@ impl<M: CostModel> GuardedModel<M> {
             config,
             check: None,
             state: BreakerState::Closed,
-            window: VecDeque::with_capacity(config.window),
+            window: CostWindow::with_capacity(config.window),
             fallback: Summary::empty(),
             consecutive_failures: 0,
             consecutive_quarantined: 0,
@@ -324,7 +324,7 @@ impl<M: CostModel> GuardedModel<M> {
     pub fn export_state(&self) -> GuardState {
         GuardState {
             breaker: self.state,
-            window: self.window.iter().copied().collect(),
+            window: self.window.recent.iter().copied().collect(),
             fallback: self.fallback,
             consecutive_failures: self.consecutive_failures,
             consecutive_quarantined: self.consecutive_quarantined,
@@ -357,7 +357,10 @@ impl<M: CostModel> GuardedModel<M> {
         } = state;
         self.state = breaker;
         let skip = window.len().saturating_sub(self.config.window);
-        self.window = window.into_iter().skip(skip).collect();
+        self.window = CostWindow::from_oldest_first(
+            window.into_iter().skip(skip).collect(),
+            self.config.window,
+        );
         self.fallback = fallback;
         self.consecutive_failures = consecutive_failures;
         self.consecutive_quarantined = consecutive_quarantined;
@@ -369,44 +372,27 @@ impl<M: CostModel> GuardedModel<M> {
         self.fallback_predictions.set(fallback_predictions);
     }
 
-    /// Validates `point`, clamping or rejecting out-of-space coordinates.
-    /// `enforce_policy` is false on the prediction path: a cost model must
-    /// answer every query the optimizer asks, so queries always clamp.
-    fn sanitize_point(
-        &mut self,
-        point: &[f64],
-        enforce_policy: bool,
-    ) -> Result<Vec<f64>, MlqError> {
-        if point.len() != self.space.dims() {
-            return Err(MlqError::DimensionMismatch {
-                expected: self.space.dims(),
-                got: point.len(),
-            });
-        }
-        let mut sanitized = Vec::with_capacity(point.len());
+    /// Validates a feedback point into `out` (its first `dims` slots),
+    /// clamping or rejecting out-of-space coordinates per the point
+    /// policy.
+    fn sanitize_point(&mut self, point: &[f64], out: &mut [f64; MAX_DIMS]) -> Result<(), MlqError> {
         let mut clamped = false;
-        for (i, &x) in point.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(MlqError::NonFiniteValue { context: "point coordinate" });
+        clamp_into(&self.space, point, out, |i, x, lo, hi| {
+            if self.config.point_policy == PointPolicy::Reject {
+                self.counters.rejected_points += 1;
+                return Err(MlqError::InvalidSpace {
+                    reason: format!(
+                        "feedback point outside space: dimension {i} is {x}, range [{lo}, {hi}]"
+                    ),
+                });
             }
-            let (lo, hi) = (self.space.low(i), self.space.high(i));
-            if x < lo || x > hi {
-                if enforce_policy && self.config.point_policy == PointPolicy::Reject {
-                    self.counters.rejected_points += 1;
-                    return Err(MlqError::InvalidSpace {
-                        reason: format!(
-                            "feedback point outside space: dimension {i} is {x}, range [{lo}, {hi}]"
-                        ),
-                    });
-                }
-                clamped = true;
-            }
-            sanitized.push(x.clamp(lo, hi));
-        }
-        if clamped && enforce_policy {
+            clamped = true;
+            Ok(())
+        })?;
+        if clamped {
             self.counters.clamped_points += 1;
         }
-        Ok(sanitized)
+        Ok(())
     }
 
     /// Median/MAD screen. Returns the violated threshold when `cost` is
@@ -415,12 +401,7 @@ impl<M: CostModel> GuardedModel<M> {
         if self.window.len() < self.config.min_window {
             return None;
         }
-        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
-        let mut deviations: Vec<f64> = sorted.iter().map(|&x| (x - median).abs()).collect();
-        deviations.sort_by(f64::total_cmp);
-        let mad = deviations[deviations.len() / 2];
+        let (median, mad) = self.window.median_mad();
         // 1.4826 scales MAD to the stddev of a Gaussian; the relative and
         // absolute floors keep a near-constant window (MAD ≈ 0) from
         // quarantining routine jitter.
@@ -472,22 +453,12 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
         // Queries always clamp: the optimizer deserves an answer even for
         // an out-of-range probe. Malformed points are still the caller's
         // error.
-        if point.len() != self.space.dims() {
-            return Err(MlqError::DimensionMismatch {
-                expected: self.space.dims(),
-                got: point.len(),
-            });
-        }
-        let mut sanitized = Vec::with_capacity(point.len());
-        for (i, &x) in point.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(MlqError::NonFiniteValue { context: "point coordinate" });
-            }
-            sanitized.push(x.clamp(self.space.low(i), self.space.high(i)));
-        }
+        let mut buf = [0.0; MAX_DIMS];
+        clamp_into(&self.space, point, &mut buf, |_, _, _, _| Ok(()))?;
+        let sanitized = &buf[..point.len()];
 
         if self.state == BreakerState::Closed {
-            match self.inner.predict(&sanitized) {
+            match self.inner.predict(sanitized) {
                 Ok(Some(v)) => return Ok(Some(v)),
                 Ok(None) => {
                     // The inner model has no information here; the running
@@ -506,7 +477,9 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
     fn observe(&mut self, point: &[f64], actual: f64) -> Result<(), MlqError> {
         self.absorb_predict_failures();
 
-        let sanitized = self.sanitize_point(point, true)?;
+        let mut buf = [0.0; MAX_DIMS];
+        self.sanitize_point(point, &mut buf)?;
+        let sanitized = &buf[..point.len()];
         if !actual.is_finite() {
             return Err(MlqError::NonFiniteValue { context: "cost value" });
         }
@@ -528,16 +501,13 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
 
         // Accepted: the fallback learns every cost the guard lets through,
         // so degradation is instant and warm.
-        if self.window.len() == self.config.window {
-            self.window.pop_front();
-        }
-        self.window.push_back(actual);
+        self.window.push(actual, self.config.window);
         self.fallback.add(actual);
         self.accepted += 1;
 
         match self.state {
             BreakerState::Closed => {
-                match self.inner.observe(&sanitized, actual) {
+                match self.inner.observe(sanitized, actual) {
                     Ok(()) => {
                         self.consecutive_failures = 0;
                         let every = self.config.check_every;
@@ -566,7 +536,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
             }
             BreakerState::HalfOpen => {
                 self.counters.probes += 1;
-                match self.inner.observe(&sanitized, actual) {
+                match self.inner.observe(sanitized, actual) {
                     Ok(()) => {
                         self.half_open_successes += 1;
                         if self.half_open_successes >= self.config.probe_successes {
@@ -589,14 +559,122 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
     }
 
     fn memory_used(&self) -> usize {
-        // The guard charges itself for the quarantine window on top of the
-        // inner model's accounted bytes; counters and breaker state are
-        // constant-size bookkeeping.
-        self.inner.memory_used() + self.window.capacity() * std::mem::size_of::<f64>()
+        // The guard charges itself for the quarantine window and its sorted
+        // mirror on top of the inner model's accounted bytes; counters and
+        // breaker state are constant-size bookkeeping.
+        self.inner.memory_used() + self.window.bytes()
     }
 
     fn name(&self) -> String {
         format!("guarded({})", self.inner.name())
+    }
+}
+
+/// Copies `point` into `out`, clamped onto `space`. Malformed points
+/// (wrong arity, non-finite coordinates) are errors; for each
+/// out-of-space coordinate `on_outside(dimension, value, low, high)`
+/// decides whether to clamp (`Ok`) or reject.
+fn clamp_into(
+    space: &Space,
+    point: &[f64],
+    out: &mut [f64; MAX_DIMS],
+    mut on_outside: impl FnMut(usize, f64, f64, f64) -> Result<(), MlqError>,
+) -> Result<(), MlqError> {
+    if point.len() != space.dims() {
+        return Err(MlqError::DimensionMismatch { expected: space.dims(), got: point.len() });
+    }
+    for (i, (&x, slot)) in point.iter().zip(out.iter_mut()).enumerate() {
+        if !x.is_finite() {
+            return Err(MlqError::NonFiniteValue { context: "point coordinate" });
+        }
+        let (lo, hi) = (space.low(i), space.high(i));
+        if x < lo || x > hi {
+            on_outside(i, x, lo, hi)?;
+        }
+        *slot = x.clamp(lo, hi);
+    }
+    Ok(())
+}
+
+/// The quarantine window: recently accepted costs, oldest first, plus a
+/// `total_cmp`-sorted mirror of the same values, kept in step by binary
+/// search so the median/MAD screen never sorts.
+#[derive(Debug, Clone)]
+struct CostWindow {
+    recent: VecDeque<f64>,
+    sorted: Vec<f64>,
+}
+
+impl CostWindow {
+    fn with_capacity(window: usize) -> Self {
+        CostWindow { recent: VecDeque::with_capacity(window), sorted: Vec::with_capacity(window) }
+    }
+
+    /// A window holding `recent` (oldest first, at most `window` values).
+    fn from_oldest_first(recent: VecDeque<f64>, window: usize) -> Self {
+        let mut sorted = Vec::with_capacity(window);
+        sorted.extend(recent.iter().copied());
+        sorted.sort_by(f64::total_cmp);
+        CostWindow { recent, sorted }
+    }
+
+    fn len(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// Appends `cost`, first dropping the oldest value when the window
+    /// already holds `window` values.
+    fn push(&mut self, cost: f64, window: usize) {
+        if self.recent.len() == window {
+            if let Some(oldest) = self.recent.pop_front() {
+                // `total_cmp` equality is bit equality, so this finds a
+                // copy of exactly the value being dropped.
+                let at = self.sorted.partition_point(|x| x.total_cmp(&oldest).is_lt());
+                self.sorted.remove(at);
+            }
+        }
+        self.recent.push_back(cost);
+        let at = self.sorted.partition_point(|x| x.total_cmp(&cost).is_lt());
+        self.sorted.insert(at, cost);
+    }
+
+    fn clear(&mut self) {
+        self.recent.clear();
+        self.sorted.clear();
+    }
+
+    /// Accounted bytes of the window and its mirror.
+    fn bytes(&self) -> usize {
+        (self.recent.capacity() + self.sorted.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// The median `sorted[n/2]` and the MAD, the `n/2`-th smallest
+    /// `|x − median|`, of a non-empty window. Walking outward from the
+    /// median, the deviations of `sorted[n/2..]` and of `sorted[..n/2]`
+    /// (taken right to left) are each non-decreasing — float subtraction
+    /// rounds monotonically — so a two-way merge of the two runs reaches
+    /// the same order statistic as sorting every deviation, bit for bit.
+    fn median_mad(&self) -> (f64, f64) {
+        let sorted = &self.sorted;
+        let mid = sorted.len() / 2;
+        let median = sorted[mid];
+        let deviation = |i: usize| (sorted[i] - median).abs();
+        // `left` is one past the next left-run index, `right` the next
+        // right-run index.
+        let (mut left, mut right) = (mid, mid);
+        let mut mad = 0.0;
+        for _ in 0..=mid {
+            let take_left = right == sorted.len()
+                || (left > 0 && deviation(left - 1).total_cmp(&deviation(right)).is_lt());
+            mad = if take_left {
+                left -= 1;
+                deviation(left)
+            } else {
+                right += 1;
+                deviation(right - 1)
+            };
+        }
+        (median, mad)
     }
 }
 
@@ -620,6 +698,110 @@ impl GuardedModel<MemoryLimitedQuadtree> {
 mod tests {
     use super::*;
     use crate::{InsertionStrategy, MlqConfig};
+    use proptest::prelude::*;
+
+    /// The screen as first written: copy the window, sort it, sort the
+    /// deviations. The sorted-mirror screen must match it bit for bit.
+    fn reference_threshold<M: CostModel>(g: &GuardedModel<M>, cost: f64) -> Option<f64> {
+        if g.window.len() < g.config.min_window {
+            return None;
+        }
+        let mut sorted: Vec<f64> = g.window.recent.iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted[sorted.len() / 2];
+        let mut deviations: Vec<f64> = sorted.iter().map(|&x| (x - median).abs()).collect();
+        deviations.sort_by(f64::total_cmp);
+        let mad = deviations[deviations.len() / 2];
+        let scale = (1.4826 * mad).max(0.05 * median.abs()).max(1e-9);
+        let distance = (cost - median).abs();
+        (distance > g.config.mad_k * scale).then_some(g.config.mad_k * scale)
+    }
+
+    /// Costs with duplicates, negatives, signed zeros and magnitudes from
+    /// 1e-9 to 1e12.
+    fn arb_cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (0usize..4).prop_map(|i| [1.0, -1.0, 1e-9, 1e12][i]),
+            (-9.0..11.0f64, 1.0..10.0f64, any::<bool>()).prop_map(|(e, m, neg)| if neg {
+                -m * 10f64.powf(e)
+            } else {
+                m * 10f64.powf(e)
+            }),
+        ]
+    }
+
+    /// One step of a guard's life: observe a cost (accepting, popping the
+    /// oldest, or quarantining toward a regime clear), or import a state
+    /// whose window may exceed the configured length.
+    #[derive(Debug, Clone)]
+    enum WindowOp {
+        Observe(f64),
+        Import(Vec<f64>),
+    }
+
+    fn arb_op() -> impl Strategy<Value = WindowOp> {
+        prop_oneof![
+            arb_cost().prop_map(WindowOp::Observe),
+            arb_cost().prop_map(WindowOp::Observe),
+            arb_cost().prop_map(WindowOp::Observe),
+            prop::collection::vec(arb_cost(), 0..24).prop_map(WindowOp::Import),
+        ]
+    }
+
+    fn same_threshold(a: Option<f64>, b: Option<f64>) -> bool {
+        a.map(f64::to_bits) == b.map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sorted_mirror_screen_matches_the_two_sort_reference(
+            window in 1usize..12,
+            min_window_pick in 1usize..12,
+            mad_k in prop_oneof![Just(0.5), Just(8.0), Just(1e6)],
+            streak in 0u32..4,
+            ops in prop::collection::vec(arb_op(), 1..200),
+        ) {
+            let config = GuardConfig {
+                window,
+                min_window: min_window_pick.min(window),
+                mad_k,
+                quarantine_streak: streak,
+                ..GuardConfig::default()
+            };
+            let mut g = guarded_flaky(config);
+            for op in ops {
+                match op {
+                    WindowOp::Observe(cost) => {
+                        for probe in [cost, -cost, 0.0, 1e12] {
+                            let fast = g.quarantine_threshold(probe);
+                            let slow = reference_threshold(&g, probe);
+                            prop_assert!(
+                                same_threshold(fast, slow),
+                                "probe {probe}: {fast:?} vs {slow:?} over {:?}",
+                                g.window.recent
+                            );
+                        }
+                        let _ = g.observe(&[1.0, 1.0], cost);
+                    }
+                    WindowOp::Import(values) => {
+                        let mut state = g.export_state();
+                        state.window = values;
+                        g.import_state(state);
+                    }
+                }
+                let mut expected: Vec<f64> = g.window.recent.iter().copied().collect();
+                expected.sort_by(f64::total_cmp);
+                prop_assert_eq!(
+                    g.window.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
 
     /// A scriptable inner model: fails observe/predict while `broken`.
     struct FlakyModel {

@@ -62,6 +62,9 @@ impl Node {
 pub(crate) struct Arena {
     nodes: Vec<Node>,
     free: Vec<u32>,
+    /// Index-aligned with `nodes`: true while the slot sits on the free
+    /// list, so liveness is an O(1) test.
+    freed: Vec<bool>,
 }
 
 impl Arena {
@@ -83,10 +86,12 @@ impl Arena {
     pub(crate) fn alloc(&mut self, node: Node) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
+            self.freed[idx as usize] = false;
             idx
         } else {
             let idx = u32::try_from(self.nodes.len()).expect("arena exceeds u32 indices");
             self.nodes.push(node);
+            self.freed.push(false);
             idx
         }
     }
@@ -94,11 +99,12 @@ impl Arena {
     /// Returns a slot to the free list. The caller must already have
     /// unlinked the node from its parent.
     pub(crate) fn free(&mut self, idx: u32) {
-        debug_assert!(!self.free.contains(&idx), "double free of node {idx}");
+        debug_assert!(!self.freed[idx as usize], "double free of node {idx}");
         // Drop any child array now so its memory is not held hostage by the
         // free list.
         self.nodes[idx as usize].children = None;
         self.nodes[idx as usize].n_children = 0;
+        self.freed[idx as usize] = true;
         self.free.push(idx);
     }
 
@@ -112,15 +118,16 @@ impl Arena {
         &mut self.nodes[idx as usize]
     }
 
-    /// Iterator over `(index, node)` pairs of live nodes. O(capacity), used
-    /// by compression set-up and diagnostics, not on the insert path.
+    /// Iterator over `(index, node)` pairs of live nodes, in index order.
+    /// O(capacity) and allocation-free; used by diagnostics, not on the
+    /// insert path.
     pub(crate) fn iter_live(&self) -> impl Iterator<Item = (u32, &Node)> {
-        let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
         self.nodes
             .iter()
+            .zip(&self.freed)
             .enumerate()
-            .filter(move |(i, _)| !free.contains(&(*i as u32)))
-            .map(|(i, n)| (i as u32, n))
+            .filter(|(_, (_, &freed))| !freed)
+            .map(|(i, (n, _))| (i as u32, n))
     }
 }
 

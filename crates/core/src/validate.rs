@@ -5,7 +5,6 @@
 use crate::node::NIL;
 use crate::tree::MemoryLimitedQuadtree;
 use crate::{child_array_bytes, NODE_BYTES};
-use std::collections::HashSet;
 
 impl MemoryLimitedQuadtree {
     /// Verifies every structural invariant of the tree.
@@ -28,14 +27,15 @@ impl MemoryLimitedQuadtree {
     pub fn check_invariants(&self) -> Result<(), String> {
         let lambda = self.config().lambda;
 
-        // Walk from the root.
-        let mut reachable: HashSet<u32> = HashSet::new();
+        // Walk from the root, marking each node as the edge into it is
+        // crossed, so a second edge into a marked node (a shared child, or
+        // a cycle back to the root) is caught before its back-pointer is.
+        let mut reachable = vec![false; self.arena.capacity()];
+        reachable[self.root as usize] = true;
+        let mut n_reachable = 1usize;
         let mut stack = vec![self.root];
         let mut recomputed_bytes = 0usize;
         while let Some(idx) = stack.pop() {
-            if !reachable.insert(idx) {
-                return Err(format!("node {idx} reachable twice (cycle or shared child)"));
-            }
             let node = self.arena.get(idx);
             recomputed_bytes += NODE_BYTES;
             if node.depth > lambda {
@@ -75,6 +75,12 @@ impl MemoryLimitedQuadtree {
                 if child_idx == NIL {
                     continue;
                 }
+                if std::mem::replace(&mut reachable[child_idx as usize], true) {
+                    return Err(format!(
+                        "node {child_idx} reachable twice (cycle or shared child)"
+                    ));
+                }
+                n_reachable += 1;
                 let child = self.arena.get(child_idx);
                 if child.parent != idx {
                     return Err(format!(
@@ -122,11 +128,10 @@ impl MemoryLimitedQuadtree {
             let _ = child_sum; // sums can be negative-valued in principle; no bound checked
         }
 
-        if reachable.len() != self.arena.live() {
+        if n_reachable != self.arena.live() {
             return Err(format!(
-                "{} live arena nodes but {} reachable from the root",
-                self.arena.live(),
-                reachable.len()
+                "{} live arena nodes but {n_reachable} reachable from the root",
+                self.arena.live()
             ));
         }
         if recomputed_bytes != self.bytes_used {
@@ -150,8 +155,56 @@ impl MemoryLimitedQuadtree {
 
 #[cfg(test)]
 mod tests {
+    use crate::node::{Node, NIL};
     use crate::{InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space};
     use proptest::prelude::*;
+
+    /// A sound 2-D tree with at least two children under the root.
+    fn sound_tree() -> MemoryLimitedQuadtree {
+        let space = Space::cube(2, 0.0, 1000.0).unwrap();
+        let config = MlqConfig::builder(space)
+            .memory_budget(1 << 16)
+            .strategy(InsertionStrategy::Eager)
+            .lambda(3)
+            .build()
+            .unwrap();
+        let mut m = MemoryLimitedQuadtree::new(config).unwrap();
+        for (x, y, v) in [(1.0, 1.0, 5.0), (999.0, 999.0, 9.0), (1.0, 999.0, 7.0)] {
+            m.insert(&[x, y], v).unwrap();
+        }
+        m.check_invariants().unwrap();
+        m
+    }
+
+    #[test]
+    fn shared_child_is_reachable_twice() {
+        let mut m = sound_tree();
+        let root = m.root;
+        let slots = m.arena.get_mut(root).children.as_mut().unwrap();
+        let live: Vec<usize> = (0..slots.len()).filter(|&s| slots[s] != NIL).collect();
+        // Point the second live slot at the first slot's child; the slot
+        // count (and so `n_children`) is unchanged.
+        slots[live[1]] = slots[live[0]];
+        let err = m.check_invariants().unwrap_err();
+        assert!(err.contains("reachable twice"), "{err}");
+    }
+
+    #[test]
+    fn orphaned_live_node_is_unreachable() {
+        let mut m = sound_tree();
+        let root = m.root;
+        m.arena.alloc(Node::new(root, 0, 1));
+        let err = m.check_invariants().unwrap_err();
+        assert!(err.contains("live arena nodes but") && err.contains("reachable"), "{err}");
+    }
+
+    #[test]
+    fn skewed_byte_accounting_is_caught() {
+        let mut m = sound_tree();
+        m.bytes_used += 1;
+        let err = m.check_invariants().unwrap_err();
+        assert!(err.starts_with("bytes_used") && err.contains("recomputation"), "{err}");
+    }
 
     fn arb_strategy() -> impl Strategy<Value = InsertionStrategy> {
         prop_oneof![
