@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlq_bench::standard_workload;
 use mlq_core::Space;
-use mlq_serve::{ReplicaGroup, ReplicaGroupConfig, SyncMode};
+use mlq_serve::{MaintainerMode, ReplicaGroup, ReplicaGroupConfig, ServeConfig};
 use mlq_udfs::ExecutionCost;
 use std::hint::black_box;
 
@@ -18,8 +18,11 @@ const BATCH: usize = 512;
 const UDF: &str = "WIN";
 
 fn group_with_pending_deltas(points: &[Vec<f64>], actuals: &[f64]) -> ReplicaGroup {
-    let config =
-        ReplicaGroupConfig { replicas: REPLICAS, mode: SyncMode::Manual, ..Default::default() };
+    let config = ReplicaGroupConfig {
+        replicas: REPLICAS,
+        serve: ServeConfig { maintainer: MaintainerMode::Manual, ..ServeConfig::default() },
+        ..Default::default()
+    };
     let space = Space::cube(4, 0.0, 1000.0).expect("valid space");
     let group = ReplicaGroup::builder(config)
         .register(UDF, &space)

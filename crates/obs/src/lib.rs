@@ -17,8 +17,8 @@
 //!   order-independent [`merge`](RegistrySnapshot::merge), a
 //!   Prometheus-style [text exposition](RegistrySnapshot::to_prometheus_text),
 //!   and a round-tripping [parser](RegistrySnapshot::parse_prometheus_text).
-//! * **[`TraceRing`]** — span tracing into a bounded ring buffer with
-//!   pluggable sinks ([`JsonLinesSink`], [`PrettySink`]).
+//! * **[`TraceRing`]** — span tracing into a bounded ring buffer that
+//!   consumers drain.
 //!
 //! Metric names follow `mlq_<crate>_<metric>`, with `{key="value"}`
 //! label blocks built by [`labeled`] (see DESIGN.md §9 for the naming
@@ -52,4 +52,4 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use registry::{labeled, MetricValue, ParseError, Registry, RegistrySnapshot};
-pub use trace::{JsonLinesSink, PrettySink, Span, SpanEvent, TraceRing, TraceSink};
+pub use trace::{Span, SpanEvent, TraceRing};

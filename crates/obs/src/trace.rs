@@ -3,16 +3,14 @@
 //! A [`TraceRing`] records [`SpanEvent`]s — named spans with start offset
 //! and duration — into a fixed-capacity ring: when full, the oldest event
 //! is overwritten and counted in [`TraceRing::dropped`], so tracing can
-//! stay enabled on hot paths without unbounded memory growth. Events are
-//! drained through pluggable [`TraceSink`]s: a JSON-lines writer for
-//! machines, a pretty-printer for stderr.
+//! stay enabled on hot paths without unbounded memory growth. Consumers
+//! take the buffered events with [`TraceRing::drain`].
 //!
 //! Timing uses a monotonic epoch captured at ring construction; tests
 //! that need exact determinism record events with explicit timestamps via
 //! [`TraceRing::record`] instead of timing real spans.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -103,23 +101,6 @@ impl TraceRing {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drains every buffered event into `sink`; returns how many were
-    /// emitted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O errors; events already emitted are gone,
-    /// the rest were drained with them (a sink failing mid-flush is a
-    /// lossy operation, like any log shipper).
-    pub fn flush_to(&self, sink: &mut dyn TraceSink) -> io::Result<usize> {
-        let events = self.drain();
-        for event in &events {
-            sink.emit(event)?;
-        }
-        sink.finish()?;
-        Ok(events.len())
-    }
 }
 
 /// Guard returned by [`TraceRing::span`]; records on drop.
@@ -137,97 +118,6 @@ impl Drop for Span<'_> {
                 .unwrap_or(u64::MAX);
         let duration_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.ring.record(SpanEvent { name: self.name, start_ns, duration_ns });
-    }
-}
-
-/// Where drained trace events go.
-pub trait TraceSink {
-    /// Emits one event.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying writer.
-    fn emit(&mut self, event: &SpanEvent) -> io::Result<()>;
-
-    /// Flushes any buffering; called once per [`TraceRing::flush_to`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying writer.
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Machine-readable sink: one JSON object per line
-/// (`{"span":"...","start_ns":...,"duration_ns":...}`).
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps `writer` (e.g. a `BufWriter<File>`).
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer }
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for JsonLinesSink<W> {
-    fn emit(&mut self, event: &SpanEvent) -> io::Result<()> {
-        // Span names are static identifiers chosen by this workspace, so
-        // plain interpolation is valid JSON without an escaper.
-        writeln!(
-            self.writer,
-            "{{\"span\":\"{}\",\"start_ns\":{},\"duration_ns\":{}}}",
-            event.name, event.start_ns, event.duration_ns
-        )
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-/// Human-readable sink: aligned `start  duration  name` lines.
-#[derive(Debug)]
-pub struct PrettySink<W: Write> {
-    writer: W,
-}
-
-impl PrettySink<io::Stderr> {
-    /// A pretty-printer onto stderr.
-    #[must_use]
-    pub fn stderr() -> Self {
-        PrettySink { writer: io::stderr() }
-    }
-}
-
-impl<W: Write> PrettySink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(writer: W) -> Self {
-        PrettySink { writer }
-    }
-}
-
-impl<W: Write> TraceSink for PrettySink<W> {
-    fn emit(&mut self, event: &SpanEvent) -> io::Result<()> {
-        writeln!(
-            self.writer,
-            "{:>12.3}ms +{:>9.3}ms  {}",
-            event.start_ns as f64 / 1e6,
-            event.duration_ns as f64 / 1e6,
-            event.name
-        )
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
     }
 }
 
@@ -261,40 +151,5 @@ mod tests {
         let events = ring.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "work");
-    }
-
-    #[test]
-    fn json_lines_sink_emits_one_object_per_event() {
-        let ring = TraceRing::new(8);
-        ring.record(ev("predict", 10, 250));
-        ring.record(ev("compress", 300, 1000));
-        let mut sink = JsonLinesSink::new(Vec::new());
-        let n = ring.flush_to(&mut sink).unwrap();
-        assert_eq!(n, 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"span\":\"predict\",\"start_ns\":10,\"duration_ns\":250}");
-        assert!(lines[1].contains("\"span\":\"compress\""));
-    }
-
-    #[test]
-    fn pretty_sink_formats_humanely() {
-        let ring = TraceRing::new(8);
-        ring.record(ev("batch", 2_000_000, 500_000));
-        let mut sink = PrettySink::new(Vec::new());
-        ring.flush_to(&mut sink).unwrap();
-        let text = String::from_utf8(sink.writer).unwrap();
-        assert!(text.contains("batch"), "{text}");
-        assert!(text.contains("2.000ms"), "{text}");
-    }
-
-    #[test]
-    fn flush_empties_the_ring() {
-        let ring = TraceRing::new(4);
-        ring.record(ev("a", 0, 1));
-        let mut sink = JsonLinesSink::new(Vec::new());
-        assert_eq!(ring.flush_to(&mut sink).unwrap(), 1);
-        assert_eq!(ring.flush_to(&mut sink).unwrap(), 0);
     }
 }

@@ -8,15 +8,22 @@
 //!   [`ShardSnapshot`] — an `Arc` clone under a briefly held
 //!   `parking_lot::RwLock` read guard — and predict against the immutable
 //!   snapshot. No reader ever touches a live model.
-//! * **The maintainer** (one background thread) owns the live
-//!   [`GuardedModel`]s. Feedback arrives through a bounded MPSC queue
+//! * **The maintainer core** holds the live [`GuardedModel`]s behind one
+//!   mutex. Feedback arrives through a bounded MPSC queue
 //!   ([`FeedbackQueue`]), is applied in batches (`observe`, including any
-//!   compression the insert triggers — all off the read path), and every
-//!   touched shard is refrozen and republished.
+//!   compression the insert triggers — all off the read path), every
+//!   touched shard is refrozen and republished, and one fleet
+//!   arbitration round follows. [`MaintainerMode`] decides only who
+//!   drives those batches: a background thread or
+//!   [`ConcurrentEstimator::step`]. Everything else that needs the live
+//!   models — waking a hibernated shard on a read, the replication
+//!   half-steps, fleet introspection — locks the same core in either
+//!   mode.
 //!
-//! Shutdown closes the queue (new feedback is refused), flushes every
-//! queued observation into the models, republishes final snapshots, and
-//! joins the maintainer — nothing admitted is ever dropped by shutdown.
+//! Shutdown closes the queue (new feedback is refused), joins any
+//! maintainer thread, flushes every queued observation into the models,
+//! and republishes final snapshots — nothing admitted is ever dropped by
+//! shutdown.
 
 use crate::queue::{
     BackpressurePolicy, Feedback, FeedbackQueue, PushOutcome, QueueCounters, QueueMetrics,
@@ -41,12 +48,14 @@ use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Who drives the drain → apply → republish loop.
+/// Who drives the drain → apply → republish → arbitrate loop. The
+/// maintainer core and everything that locks it are the same in both
+/// modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintainerMode {
     /// A dedicated background thread (production default).
@@ -675,19 +684,15 @@ struct FleetCore {
     last_reads: Vec<u64>,
     /// Consecutive traffic-free rounds per shard.
     cold_rounds: Vec<u32>,
-    /// Reader-side wake requests (set by a predict call that hit a
-    /// hibernated stand-in under [`MaintainerMode::Background`]);
-    /// serviced at the start of every arbitration round.
-    wake: Arc<Vec<AtomicBool>>,
     round: u64,
     last: Option<FleetArbitration>,
     obs: FleetObs,
 }
 
-/// Everything one drain → apply → republish step needs. Owned by the
-/// background thread under [`MaintainerMode::Background`], or parked
-/// inside the estimator and driven by [`ConcurrentEstimator::step`] under
-/// [`MaintainerMode::Manual`].
+/// Everything one apply → republish → arbitrate step needs. Lives behind
+/// the estimator's one maintainer lock in both [`MaintainerMode`]s; the
+/// mode decides only whether a background thread or
+/// [`ConcurrentEstimator::step`] feeds it batches.
 struct MaintainerCore {
     shards: Vec<ShardModels>,
     touched: Vec<bool>,
@@ -702,6 +707,16 @@ struct MaintainerCore {
 }
 
 impl MaintainerCore {
+    /// One maintenance step: applies a drained batch, then runs one
+    /// arbitration round. Arbitration runs after empty batches too: idle
+    /// rounds must tick so cold streaks accumulate. Returns the number
+    /// of observations consumed.
+    fn run(&mut self, batch: Vec<Feedback>, published: &[RwLock<Arc<ShardSnapshot>>]) -> usize {
+        let n = self.apply_batch(batch, published);
+        self.arbitrate(published);
+        n
+    }
+
     /// Applies one drained batch and republishes every touched shard.
     /// Returns the number of observations consumed.
     fn apply_batch(
@@ -871,22 +886,14 @@ impl MaintainerCore {
         }
     }
 
-    /// One fleet arbitration round (no-op without a fleet budget): wake
-    /// requests, a single traffic snapshot, cold-shard hibernation, and
-    /// — if the live models exceed the global budget — one cross-model
-    /// traffic-weighted eviction pass. Runs on the maintainer thread
-    /// after every applied batch, so eviction and hibernation stay off
-    /// the read path.
+    /// One fleet arbitration round (no-op without a fleet budget): a
+    /// single traffic snapshot, cold-shard hibernation, and — if the live
+    /// models exceed the global budget — one cross-model
+    /// traffic-weighted eviction pass. Runs after every maintenance
+    /// batch, so eviction and hibernation stay off the read path.
     fn arbitrate(&mut self, published: &[RwLock<Arc<ShardSnapshot>>]) {
         let Some(mut fleet) = self.fleet.take() else { return };
         fleet.round += 1;
-        // Reader wake requests first, so a woken shard's pending reads
-        // count as this round's traffic below.
-        for idx in 0..self.shards.len() {
-            if fleet.wake[idx].swap(false, Ordering::AcqRel) {
-                self.restore_shard(idx, published, &mut fleet);
-            }
-        }
         // One consistent traffic snapshot per round. Reading the live
         // atomics again mid-scan would hand later shards a longer
         // accounting window than earlier ones (the stale-counter bug
@@ -1089,8 +1096,8 @@ impl ConcurrentEstimatorBuilder {
     /// `delta_budget` bytes), so an anti-entropy round can extract what
     /// this service learned since the last sync via
     /// [`ConcurrentEstimator::take_deltas`] and install merged models via
-    /// [`ConcurrentEstimator::install_models`]. Both require
-    /// [`MaintainerMode::Manual`].
+    /// [`ConcurrentEstimator::install_models`], in either
+    /// [`MaintainerMode`].
     ///
     /// Observations replayed from a durability directory at build time
     /// are *not* recorded — a recovered replica's pre-crash state counts
@@ -1135,7 +1142,7 @@ impl ConcurrentEstimatorBuilder {
     }
 
     /// Wraps every model in its guard, publishes initial snapshots, and
-    /// spawns the maintainer thread.
+    /// under [`MaintainerMode::Background`] spawns the maintainer thread.
     ///
     /// # Errors
     ///
@@ -1322,20 +1329,16 @@ impl ConcurrentEstimatorBuilder {
         let processed = Arc::new(AtomicU64::new(0));
 
         let shard_count = shards.len();
-        let wake: Option<Arc<Vec<AtomicBool>>> = config
-            .fleet
-            .map(|_| Arc::new((0..shard_count).map(|_| AtomicBool::new(false)).collect()));
         let fleet_core = config.fleet.map(|fleet| FleetCore {
             config: fleet,
             reads: reads.clone(),
             last_reads: vec![0; shard_count],
             cold_rounds: vec![0; shard_count],
-            wake: Arc::clone(wake.as_ref().expect("wake flags exist whenever fleet does")),
             round: 0,
             last: None,
             obs: FleetObs::new(&registry, fleet.global_budget),
         });
-        let mut core = MaintainerCore {
+        let core = Arc::new(Mutex::new(Some(MaintainerCore {
             shards,
             touched: vec![false; shard_count],
             last_publish: vec![Instant::now(); shard_count],
@@ -1346,39 +1349,36 @@ impl ConcurrentEstimatorBuilder {
             trace,
             durability: durability_core,
             fleet: fleet_core,
-        };
+        })));
         // The initial publications above bypass `core.publish`, so
         // `mlq_serve_publishes` counts only feedback-driven republications.
 
-        let state = match config.maintainer {
+        let maintainer_thread = match config.maintainer {
             MaintainerMode::Background => {
                 let queue = Arc::clone(&queue);
                 let published = Arc::clone(&published);
+                let core = Arc::clone(&core);
                 let handle = thread::Builder::new()
                     .name("mlq-serve-maintainer".into())
-                    .spawn(move || {
-                        loop {
-                            let (batch, finished) =
-                                queue.drain(core.batch_max, Duration::from_millis(20));
-                            if finished {
-                                break;
-                            }
-                            core.apply_batch(batch, &published);
-                            // Arbitration runs every loop iteration, not
-                            // just after non-empty batches: idle rounds
-                            // must tick so cold streaks accumulate and
-                            // reader wake requests are serviced promptly
-                            // (each within one ≤20 ms drain timeout).
-                            core.arbitrate(&published);
+                    .spawn(move || loop {
+                        // Wait outside the lock, so readers waking a
+                        // shard and replication calls only ever contend
+                        // with an applying batch.
+                        let (batch, finished) =
+                            queue.drain(config.batch_max, Duration::from_millis(20));
+                        if finished {
+                            break;
                         }
-                        core.final_publish(&published);
+                        let mut guard = core.lock().unwrap_or_else(PoisonError::into_inner);
+                        let Some(maintainer) = guard.as_mut() else { break };
+                        maintainer.run(batch, &published);
                     })
                     .map_err(|e| MlqError::IoFault {
                         reason: format!("spawning maintainer thread: {e}"),
                     })?;
-                MaintainerState::Background(handle)
+                Some(handle)
             }
-            MaintainerMode::Manual => MaintainerState::Manual(Box::new(core)),
+            MaintainerMode::Manual => None,
         };
 
         Ok(ConcurrentEstimator {
@@ -1389,18 +1389,13 @@ impl ConcurrentEstimatorBuilder {
             processed,
             backpressure: config.backpressure,
             registry,
-            maintainer: Mutex::new(Some(state)),
+            mode: config.maintainer,
+            core,
+            maintainer_thread: Mutex::new(maintainer_thread),
             durability: shared,
             recovery: report,
-            wake,
         })
     }
-}
-
-/// Where maintenance runs for a live service.
-enum MaintainerState {
-    Background(JoinHandle<()>),
-    Manual(Box<MaintainerCore>),
 }
 
 /// A sharded, concurrently readable estimator service over every
@@ -1417,15 +1412,18 @@ pub struct ConcurrentEstimator {
     processed: Arc<AtomicU64>,
     backpressure: BackpressurePolicy,
     registry: Arc<Registry>,
-    maintainer: Mutex<Option<MaintainerState>>,
+    mode: MaintainerMode,
+    /// The maintainer's live state; `None` once shut down. The
+    /// background thread holds the lock for one batch at a time.
+    core: Arc<Mutex<Option<MaintainerCore>>>,
+    /// The background maintainer thread (`None` under
+    /// [`MaintainerMode::Manual`] and once joined). Shutdown holds this
+    /// slot throughout, which serializes concurrent shutdowns.
+    maintainer_thread: Mutex<Option<JoinHandle<()>>>,
     /// Shared durability state (`None` when built without durability).
     durability: Option<Arc<DurabilityShared>>,
     /// What startup recovery did, per shard (empty without durability).
     recovery: RecoveryReport,
-    /// Per-shard wake flags (`None` without a fleet budget): a reader
-    /// hitting a hibernated stand-in sets its shard's flag and the
-    /// maintainer restores the shard on its next arbitration round.
-    wake: Option<Arc<Vec<AtomicBool>>>,
 }
 
 /// One shard's extracted feedback delta: everything the service absorbed
@@ -1479,22 +1477,6 @@ impl ConcurrentEstimator {
         builder.build()
     }
 
-    /// Builds a service by recovering everything a durability directory
-    /// holds: per shard, the newest valid checkpoint plus the journal
-    /// tail replayed on top. Shorthand for
-    /// `builder(config).with_durability(dir).build()`; use the builder
-    /// form to also register shards the directory does not know yet.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::InvalidConfig`] when the directory yields no shard
-    /// (nothing was ever checkpointed there); propagates I/O errors
-    /// listing the directory. Corrupt content is not an error — it
-    /// surfaces in the [`recovery_report`](Self::recovery_report).
-    pub fn recover(dir: impl Into<PathBuf>, config: ServeConfig) -> Result<Self, MlqError> {
-        Self::builder(config).with_durability(dir).build()
-    }
-
     /// Health of the durability layer: [`DurabilityStatus::Disabled`]
     /// when the service was built without one.
     #[must_use]
@@ -1544,47 +1526,38 @@ impl ConcurrentEstimator {
     }
 
     /// [`Self::snapshot_at`], waking the shard first if fleet arbitration
-    /// hibernated it. Callers must bump the shard's read counter *before*
-    /// calling: the wake itself is the traffic signal that keeps the
-    /// restored shard from being counted cold again next round.
+    /// hibernated it: the calling thread restores it under the maintainer
+    /// lock. Callers must bump the shard's read counter *before* calling:
+    /// the wake itself is the traffic signal that keeps the restored
+    /// shard from being counted cold again next round.
     fn live_snapshot_at(&self, shard: usize) -> Arc<ShardSnapshot> {
         let snap = self.snapshot_at(shard);
-        if self.wake.is_none() || !snap.is_hibernated() {
+        if !snap.is_hibernated() {
             return snap;
         }
-        self.wake_shard(shard);
+        // After shutdown the core is gone, but `final_publish` already
+        // restored every shard, so the published snapshot is live.
+        if let Some(core) = self.core.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
+            core.wake_one(shard, &self.published);
+        }
         self.snapshot_at(shard)
     }
 
-    /// Blocks until `shard` is restored from hibernation. Under
-    /// [`MaintainerMode::Manual`] the calling thread restores it inline;
-    /// under [`MaintainerMode::Background`] it raises the shard's wake
-    /// flag and waits for the maintainer (which services flags at least
-    /// once per ≤20 ms drain timeout) to republish a live snapshot.
-    fn wake_shard(&self, shard: usize) {
-        loop {
-            {
-                let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-                match guard.as_mut() {
-                    Some(MaintainerState::Manual(core)) => {
-                        core.wake_one(shard, &self.published);
-                        return;
-                    }
-                    Some(MaintainerState::Background(_)) => {
-                        if let Some(wake) = &self.wake {
-                            wake[shard].store(true, Ordering::Release);
-                        }
-                    }
-                    // Shut down: final_publish already restored every
-                    // shard, so the published snapshot is live.
-                    None => return,
-                }
-            }
-            if !self.snapshot_at(shard).is_hibernated() {
-                return;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
+    /// Runs `f` on the live maintainer core under its lock.
+    ///
+    /// # Errors
+    ///
+    /// [`MlqError::InvalidConfig`] after shutdown; whatever `f` returns.
+    fn with_core<T>(
+        &self,
+        op: &str,
+        f: impl FnOnce(&mut MaintainerCore) -> Result<T, MlqError>,
+    ) -> Result<T, MlqError> {
+        let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        let core = guard.as_mut().ok_or_else(|| MlqError::InvalidConfig {
+            reason: format!("{op}() requires a live service"),
+        })?;
+        f(core)
     }
 
     /// True when fleet arbitration currently has `name` hibernated.
@@ -1601,23 +1574,15 @@ impl ConcurrentEstimator {
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] unless the service was built with
-    /// [`MaintainerMode::Manual`] and a [`FleetConfig`], and is still
-    /// live.
+    /// [`MlqError::InvalidConfig`] unless the service was built with a
+    /// [`FleetConfig`] and is still live.
     pub fn last_arbitration(&self) -> Result<Option<FleetArbitration>, MlqError> {
-        let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_mut() {
-            Some(MaintainerState::Manual(core)) => match &core.fleet {
-                Some(fleet) => Ok(fleet.last.clone()),
-                None => Err(MlqError::InvalidConfig {
-                    reason: "last_arbitration() requires a fleet budget at build time".into(),
-                }),
-            },
-            _ => Err(MlqError::InvalidConfig {
-                reason: "last_arbitration() requires MaintainerMode::Manual on a live service"
-                    .into(),
+        self.with_core("last_arbitration", |core| match &core.fleet {
+            Some(fleet) => Ok(fleet.last.clone()),
+            None => Err(MlqError::InvalidConfig {
+                reason: "last_arbitration() requires a fleet budget at build time".into(),
             }),
-        }
+        })
     }
 
     /// Exact summed accounted bytes of every live (non-hibernated)
@@ -1626,17 +1591,9 @@ impl ConcurrentEstimator {
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] unless the service was built with
-    /// [`MaintainerMode::Manual`] and is still live.
+    /// [`MlqError::InvalidConfig`] after shutdown.
     pub fn fleet_live_bytes(&self) -> Result<usize, MlqError> {
-        let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_mut() {
-            Some(MaintainerState::Manual(core)) => Ok(core.live_bytes()),
-            _ => Err(MlqError::InvalidConfig {
-                reason: "fleet_live_bytes() requires MaintainerMode::Manual on a live service"
-                    .into(),
-            }),
-        }
+        self.with_core("fleet_live_bytes", |core| Ok(core.live_bytes()))
     }
 
     /// The current published snapshot for `name`. Readers that predict
@@ -1790,29 +1747,27 @@ impl ConcurrentEstimator {
     }
 
     /// Runs one manual maintenance step: drains up to `max` queued
-    /// observations, applies them, and republishes touched shards on the
-    /// calling thread. Returns how many observations were applied (zero
-    /// when the queue was empty).
+    /// observations, applies them, republishes touched shards, and runs
+    /// one fleet arbitration round on the calling thread. Returns how
+    /// many observations were applied (zero when the queue was empty).
     ///
     /// # Errors
     ///
     /// [`MlqError::InvalidConfig`] unless the service was built with
-    /// [`MaintainerMode::Manual`] and is still live.
+    /// [`MaintainerMode::Manual`] (a second drainer next to the
+    /// background thread would break FIFO apply order) and is still live.
     pub fn step(&self, max: usize) -> Result<usize, MlqError> {
-        let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_mut() {
-            Some(MaintainerState::Manual(core)) => {
-                let (batch, _finished) = self.queue.drain(max.max(1), Duration::ZERO);
-                let n = core.apply_batch(batch, &self.published);
-                // One arbitration round per step, batch or not — manual
-                // mode's deterministic mirror of the background loop.
-                core.arbitrate(&self.published);
-                Ok(n)
-            }
-            _ => Err(MlqError::InvalidConfig {
-                reason: "step() requires MaintainerMode::Manual on a live service".into(),
-            }),
+        if self.mode != MaintainerMode::Manual {
+            return Err(MlqError::InvalidConfig {
+                reason: "step() requires MaintainerMode::Manual".into(),
+            });
         }
+        // The drain happens under the lock, so concurrent steppers apply
+        // batches in queue order.
+        self.with_core("step", |core| {
+            let (batch, _finished) = self.queue.drain(max.max(1), Duration::ZERO);
+            Ok(core.run(batch, &self.published))
+        })
     }
 
     /// Extracts every shard's feedback delta — what this service absorbed
@@ -1824,32 +1779,27 @@ impl ConcurrentEstimator {
     /// # Errors
     ///
     /// [`MlqError::InvalidConfig`] unless the service was built with
-    /// [`MaintainerMode::Manual`] *and*
-    /// [`ConcurrentEstimatorBuilder::with_delta_tracking`], and is still
+    /// [`ConcurrentEstimatorBuilder::with_delta_tracking`] and is still
     /// live.
     pub fn take_deltas(&self) -> Result<Vec<ShardDelta>, MlqError> {
-        let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(MaintainerState::Manual(core)) = guard.as_mut() else {
-            return Err(MlqError::InvalidConfig {
-                reason: "take_deltas() requires MaintainerMode::Manual on a live service".into(),
-            });
-        };
-        let mut out = Vec::with_capacity(core.shards.len());
-        for shard in &mut core.shards {
-            let trackers = shard.deltas.as_mut().ok_or_else(|| MlqError::InvalidConfig {
-                reason: "take_deltas() requires with_delta_tracking() at build time".into(),
-            })?;
-            let (cpu_delta, io_delta) = trackers.as_mut();
-            let (cpu, cpu_n) = cpu_delta.take()?;
-            let (io, io_n) = io_delta.take()?;
-            out.push(ShardDelta {
-                name: shard.name.clone(),
-                cpu,
-                io,
-                observations: cpu_n.max(io_n),
-            });
-        }
-        Ok(out)
+        self.with_core("take_deltas", |core| {
+            let mut out = Vec::with_capacity(core.shards.len());
+            for shard in &mut core.shards {
+                let trackers = shard.deltas.as_mut().ok_or_else(|| MlqError::InvalidConfig {
+                    reason: "take_deltas() requires with_delta_tracking() at build time".into(),
+                })?;
+                let (cpu_delta, io_delta) = trackers.as_mut();
+                let (cpu, cpu_n) = cpu_delta.take()?;
+                let (io, io_n) = io_delta.take()?;
+                out.push(ShardDelta {
+                    name: shard.name.clone(),
+                    cpu,
+                    io,
+                    observations: cpu_n.max(io_n),
+                });
+            }
+            Ok(out)
+        })
     }
 
     /// Installs externally merged models as each named shard's new live
@@ -1865,34 +1815,24 @@ impl ConcurrentEstimator {
     /// # Errors
     ///
     /// [`MlqError::InvalidConfig`] for unknown shard names or unless the
-    /// service was built with [`MaintainerMode::Manual`] and
-    /// [`ConcurrentEstimatorBuilder::with_delta_tracking`]; propagates
-    /// merge errors (mismatched spaces).
+    /// service was built with
+    /// [`ConcurrentEstimatorBuilder::with_delta_tracking`] and is still
+    /// live; propagates merge errors (mismatched spaces).
     pub fn install_models(
         &self,
         models: Vec<(String, MemoryLimitedQuadtree, MemoryLimitedQuadtree)>,
     ) -> Result<(), MlqError> {
-        let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(MaintainerState::Manual(core)) = guard.as_mut() else {
-            return Err(MlqError::InvalidConfig {
-                reason: "install_models() requires MaintainerMode::Manual on a live service".into(),
-            });
-        };
-        if core.shards.iter().any(|shard| shard.deltas.is_none()) {
-            return Err(MlqError::InvalidConfig {
+        self.with_core("install_models", |core| {
+            let untracked = || MlqError::InvalidConfig {
                 reason: "install_models() requires with_delta_tracking() at build time".into(),
-            });
-        }
-        for (name, mut cpu, mut io) in models {
-            let idx = *self.names.get(&name).ok_or_else(|| MlqError::InvalidConfig {
-                reason: format!("no UDF named {name} is registered"),
-            })?;
-            {
+            };
+            if core.shards.iter().any(|shard| shard.deltas.is_none()) {
+                return Err(untracked());
+            }
+            for (name, mut cpu, mut io) in models {
+                let idx = self.shard_index(&name)?;
                 let shard = &mut core.shards[idx];
-                let trackers = shard.deltas.as_ref().ok_or_else(|| MlqError::InvalidConfig {
-                    reason: "install_models() requires with_delta_tracking() at build time".into(),
-                })?;
-                let (cpu_delta, io_delta) = &**trackers;
+                let (cpu_delta, io_delta) = &**shard.deltas.as_ref().ok_or_else(untracked)?;
                 if !cpu_delta.is_empty() {
                     cpu.merge_from(cpu_delta.tree())?;
                 }
@@ -1901,13 +1841,13 @@ impl ConcurrentEstimator {
                 }
                 shard.replace_models(cpu, io);
                 // The merged models supersede whatever was spilled at
-                // hibernation time; dropping the envelopes also makes
-                // the published snapshot live again.
+                // hibernation time; dropping the envelopes also makes the
+                // published snapshot live again.
                 shard.hibernated = None;
+                core.publish(idx, &self.published);
             }
-            core.publish(idx, &self.published);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Blocks until every observation admitted *before this call* has
@@ -1927,32 +1867,30 @@ impl ConcurrentEstimator {
         }
     }
 
-    /// Stops the service: refuses new feedback, flushes everything queued
-    /// into the models, republishes final snapshots, and joins the
-    /// maintainer. Idempotent; later calls return `None`.
+    /// Stops the service: refuses new feedback, joins any maintainer
+    /// thread, flushes everything queued into the models, and republishes
+    /// final snapshots. Idempotent; later calls return `None`.
     pub fn shutdown(&self) -> Option<ServeReport> {
-        let state = {
-            let mut guard = self.maintainer.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.take()?
-        };
+        let mut thread_slot = self.maintainer_thread.lock().unwrap_or_else(PoisonError::into_inner);
         self.queue.close();
-        match state {
-            // A panicked maintainer already surfaced its panic; the report
-            // below still reflects the last published snapshots.
-            MaintainerState::Background(handle) => {
-                let _ = handle.join();
-            }
-            MaintainerState::Manual(mut core) => {
-                loop {
-                    let (batch, finished) = self.queue.drain(core.batch_max, Duration::ZERO);
-                    if finished {
-                        break;
-                    }
-                    core.apply_batch(batch, &self.published);
-                }
-                core.final_publish(&self.published);
-            }
+        // A panicked maintainer already surfaced its panic; the drain
+        // below still flushes what it left queued.
+        if let Some(handle) = thread_slot.take() {
+            let _ = handle.join();
         }
+        // The final drain and publication run under the core lock, so a
+        // reader waking a shard meanwhile waits for the live snapshot.
+        let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        let core = guard.as_mut()?;
+        loop {
+            let (batch, finished) = self.queue.drain(core.batch_max, Duration::ZERO);
+            if finished {
+                break;
+            }
+            core.apply_batch(batch, &self.published);
+        }
+        core.final_publish(&self.published);
+        *guard = None;
         Some(ServeReport {
             shards: self
                 .names

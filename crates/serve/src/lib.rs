@@ -13,7 +13,9 @@
 //!   and compression never runs on the read path.
 //! * **Batched asynchronous feedback** — observations flow through a
 //!   bounded MPSC queue with a pluggable [`BackpressurePolicy`] into a
-//!   single maintainer thread, which applies them through the PR-1
+//!   single maintainer — a background thread, or
+//!   [`ConcurrentEstimator::step`] under [`MaintainerMode::Manual`] —
+//!   which applies them through the
 //!   [`GuardedModel`](mlq_core::GuardedModel)s (validation, quarantine,
 //!   circuit breaking all intact) and republishes snapshots.
 //! * **Observability** — quarantines, breaker states, queue drops, and
@@ -62,8 +64,6 @@ pub use estimator::{
 pub use handle::EstimatorHandle;
 pub use queue::{BackpressurePolicy, PushOutcome, QueueCounters};
 pub use recovery::{RecoveryReport, RestoreKind, ShardRecovery};
-pub use replica::{
-    GroupReport, ReplicaGroup, ReplicaGroupBuilder, ReplicaGroupConfig, SyncMode, SyncReport,
-};
+pub use replica::{GroupReport, ReplicaGroup, ReplicaGroupBuilder, ReplicaGroupConfig, SyncReport};
 pub use snapshot::{ComponentSnapshot, ShardCounters, ShardSnapshot};
 pub use wal::{CrashOp, CrashPoint, DurabilityConfig, DurabilityStatus, RetryPolicy, CRASH_OPS};

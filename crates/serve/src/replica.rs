@@ -13,11 +13,11 @@
 //! 2. folds the deltas into the group's per-shard **merge base** via
 //!    [`MemoryLimitedQuadtree::merge_from`] (re-compressing if the union
 //!    exceeds the base's budget),
-//! 3. ships the merged base back to every replica — by default through
-//!    the CRC-32 snapshot envelope, byte-for-byte the same frames a
-//!    cross-process transport would carry — and installs it, folding each
-//!    replica's still-pending local delta on top so nothing it learned
-//!    meanwhile is ever un-learned,
+//! 3. ships the merged base back to every replica through the CRC-32
+//!    snapshot envelope — byte-for-byte the same frames a cross-process
+//!    transport would carry, and a value-exact round trip — and installs
+//!    it, folding each replica's still-pending local delta on top so
+//!    nothing it learned meanwhile is ever un-learned,
 //! 4. republishes each replica's read snapshots through the usual
 //!    `RwLock<Arc<_>>` pointer swap.
 //!
@@ -26,10 +26,14 @@
 //! while nothing compressed — the merge-equivalence invariant CI sweeps
 //! across 25 seeds).
 //!
-//! Replicas run in [`MaintainerMode::Manual`]; under
-//! [`SyncMode::Background`] the group spawns one driver thread per
-//! replica (stepping its queue) plus one scheduler thread running the
-//! rounds, so the whole tier needs no external pumping.
+//! Replicas run under the group's own `serve.maintainer`. Under
+//! [`MaintainerMode::Background`] each replica's maintainer thread
+//! drains its queue and the group adds one scheduler thread running the
+//! rounds, so the whole tier needs no external pumping. Under
+//! [`MaintainerMode::Manual`] nothing runs between calls: the embedding
+//! code drives replicas via [`ReplicaGroup::pump`] and rounds via
+//! [`ReplicaGroup::sync`], which is what the merge-equivalence harness
+//! builds on.
 
 use crate::estimator::{MaintainerMode, ServeConfig, ServeReport};
 use crate::wal::DurabilityConfig;
@@ -44,39 +48,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Who runs the anti-entropy rounds (and the replicas' queue pumping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// The group spawns one driver thread per replica plus a scheduler
-    /// thread that runs [`ReplicaGroup::sync`] every `sync_interval`
-    /// (production default).
-    #[default]
-    Background,
-    /// No threads: the embedding code drives replicas via
-    /// [`ReplicaGroup::pump`] and rounds via [`ReplicaGroup::sync`].
-    /// Fully deterministic — the merge-equivalence harness builds on it.
-    Manual,
-}
-
 /// Tuning of a [`ReplicaGroup`].
 #[derive(Debug, Clone)]
 pub struct ReplicaGroupConfig {
     /// Number of writer replicas.
     pub replicas: usize,
-    /// Per-replica serving configuration. `maintainer` is forced to
-    /// [`MaintainerMode::Manual`]; the group owns all threading.
+    /// Per-replica serving configuration. Its `maintainer` mode also
+    /// decides whether the group runs an anti-entropy scheduler thread.
     pub serve: ServeConfig,
     /// Byte budget of each shadow delta tree (per shard, per component).
     pub delta_budget: usize,
-    /// Anti-entropy cadence under [`SyncMode::Background`].
+    /// Anti-entropy cadence under [`MaintainerMode::Background`].
     pub sync_interval: Duration,
-    /// Background threads or manual stepping.
-    pub mode: SyncMode,
-    /// Ship merged models to replicas through the CRC-32 snapshot
-    /// envelope (exercising the exact frames a cross-process transport
-    /// carries) instead of cloning in memory. The envelope round-trip is
-    /// value-exact, so this changes bytes moved, not results.
-    pub ship_envelopes: bool,
 }
 
 impl Default for ReplicaGroupConfig {
@@ -86,8 +69,6 @@ impl Default for ReplicaGroupConfig {
             serve: ServeConfig::default(),
             delta_budget: 1 << 16,
             sync_interval: Duration::from_millis(200),
-            mode: SyncMode::Background,
-            ship_envelopes: true,
         }
     }
 }
@@ -99,9 +80,9 @@ impl ReplicaGroupConfig {
                 reason: "a replica group needs at least one replica".into(),
             });
         }
-        if self.mode == SyncMode::Background && self.sync_interval.is_zero() {
+        if self.serve.maintainer == MaintainerMode::Background && self.sync_interval.is_zero() {
             return Err(MlqError::InvalidConfig {
-                reason: "sync_interval must be nonzero under SyncMode::Background".into(),
+                reason: "sync_interval must be nonzero under MaintainerMode::Background".into(),
             });
         }
         Ok(())
@@ -177,7 +158,7 @@ impl ReplicaGroupBuilder {
     }
 
     /// Builds every replica, the merge base, and (under
-    /// [`SyncMode::Background`]) the driver and scheduler threads.
+    /// [`MaintainerMode::Background`]) the anti-entropy scheduler thread.
     ///
     /// # Errors
     ///
@@ -193,8 +174,7 @@ impl ReplicaGroupBuilder {
         }
 
         let registry = Arc::new(Registry::new());
-        let mut serve = config.serve;
-        serve.maintainer = MaintainerMode::Manual;
+        let serve = config.serve;
 
         let mut replicas = Vec::with_capacity(config.replicas);
         let mut replica_registries = Vec::with_capacity(config.replicas);
@@ -234,36 +214,15 @@ impl ReplicaGroupBuilder {
             registry,
             core: Mutex::new(GroupCore { base }),
             metrics,
-            ship_envelopes: config.ship_envelopes,
             stop: AtomicBool::new(false),
         });
 
-        let threads = match config.mode {
-            SyncMode::Manual => GroupThreads { drivers: Vec::new(), scheduler: None },
-            SyncMode::Background => {
-                let mut drivers = Vec::with_capacity(shared.replicas.len());
-                for (i, replica) in shared.replicas.iter().enumerate() {
-                    let replica = Arc::clone(replica);
-                    let stop = Arc::clone(&shared);
-                    let batch_max = serve.batch_max;
-                    let handle = thread::Builder::new()
-                        .name(format!("mlq-replica-{i}"))
-                        .spawn(move || {
-                            while !stop.stop.load(Ordering::Acquire) {
-                                match replica.step(batch_max) {
-                                    Ok(n) if n > 0 => {}
-                                    _ => thread::sleep(Duration::from_micros(200)),
-                                }
-                            }
-                        })
-                        .map_err(|e| MlqError::IoFault {
-                            reason: format!("spawning replica driver: {e}"),
-                        })?;
-                    drivers.push(handle);
-                }
+        let scheduler = match serve.maintainer {
+            MaintainerMode::Manual => None,
+            MaintainerMode::Background => {
                 let sched_shared = Arc::clone(&shared);
                 let interval = config.sync_interval;
-                let scheduler = thread::Builder::new()
+                let handle = thread::Builder::new()
                     .name("mlq-replica-sync".into())
                     .spawn(move || {
                         let tick = interval.min(Duration::from_millis(5));
@@ -279,17 +238,13 @@ impl ReplicaGroupBuilder {
                     .map_err(|e| MlqError::IoFault {
                         reason: format!("spawning anti-entropy scheduler: {e}"),
                     })?;
-                GroupThreads { drivers, scheduler: Some(scheduler) }
+                Some(handle)
             }
         };
 
-        Ok(ReplicaGroup { shared, threads: Mutex::new(Some(threads)) })
+        Ok(ReplicaGroup { shared, scheduler: Mutex::new(scheduler) })
     }
 }
-
-/// One shard's merged base serialized for shipping: (name, cpu
-/// envelope, io envelope).
-type ShardEnvelopes = (String, Vec<u8>, Vec<u8>);
 
 /// The group's merged view of one shard.
 struct BaseShard {
@@ -346,7 +301,6 @@ struct GroupShared {
     registry: Arc<Registry>,
     core: Mutex<GroupCore>,
     metrics: GroupMetrics,
-    ship_envelopes: bool,
     stop: AtomicBool,
 }
 
@@ -394,46 +348,28 @@ impl GroupShared {
             }
         }
 
-        // 3. Ship + install: every replica gets the merged base (its own
-        // pending delta is folded on top inside install_models).
+        // 3. Ship + install: every replica gets the merged base through
+        // its envelopes (its own pending delta is folded on top inside
+        // install_models).
         let mut envelope_bytes = 0u64;
-        let envelopes: Option<Vec<ShardEnvelopes>> = if self.ship_envelopes {
-            Some(
-                core.base
-                    .iter()
-                    .map(|shard| {
-                        let cpu = shard.cpu.snapshot().to_envelope();
-                        let io = shard.io.snapshot().to_envelope();
-                        envelope_bytes += (cpu.len() + io.len()) as u64;
-                        (shard.name.clone(), cpu, io)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
+        let envelopes: Vec<(String, Vec<u8>, Vec<u8>)> = core
+            .base
+            .iter()
+            .map(|shard| {
+                let cpu = shard.cpu.snapshot().to_envelope();
+                let io = shard.io.snapshot().to_envelope();
+                envelope_bytes += (cpu.len() + io.len()) as u64;
+                (shard.name.clone(), cpu, io)
+            })
+            .collect();
+        let unframe = |bytes: &[u8]| {
+            MemoryLimitedQuadtree::from_snapshot(&TreeSnapshot::from_envelope(bytes)?)
         };
         for replica in &self.replicas {
-            let models = match &envelopes {
-                Some(framed) => framed
-                    .iter()
-                    .map(|(name, cpu, io)| {
-                        Ok((
-                            name.clone(),
-                            MemoryLimitedQuadtree::from_snapshot(&TreeSnapshot::from_envelope(
-                                cpu,
-                            )?)?,
-                            MemoryLimitedQuadtree::from_snapshot(&TreeSnapshot::from_envelope(
-                                io,
-                            )?)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, MlqError>>()?,
-                None => core
-                    .base
-                    .iter()
-                    .map(|shard| (shard.name.clone(), shard.cpu.clone(), shard.io.clone()))
-                    .collect(),
-            };
+            let models = envelopes
+                .iter()
+                .map(|(name, cpu, io)| Ok((name.clone(), unframe(cpu)?, unframe(io)?)))
+                .collect::<Result<Vec<_>, MlqError>>()?;
             replica.install_models(models)?;
             self.metrics.installs.inc();
         }
@@ -464,8 +400,7 @@ pub struct SyncReport {
     pub per_replica: Vec<u64>,
     /// Compression passes the fold triggered on the base trees.
     pub compressions: u64,
-    /// Envelope bytes shipped (0 when `ship_envelopes` is off or the
-    /// round was skipped).
+    /// Envelope bytes shipped (0 when the round was skipped).
     pub envelope_bytes: u64,
     /// True when no replica had pending feedback — nothing was merged or
     /// installed.
@@ -484,16 +419,13 @@ pub struct GroupReport {
     pub metrics: RegistrySnapshot,
 }
 
-struct GroupThreads {
-    drivers: Vec<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
-}
-
 /// N replicated [`ConcurrentEstimator`]s kept convergent by anti-entropy
 /// merges. See the [module documentation](self).
 pub struct ReplicaGroup {
     shared: Arc<GroupShared>,
-    threads: Mutex<Option<GroupThreads>>,
+    /// The anti-entropy scheduler thread (`None` under
+    /// [`MaintainerMode::Manual`] and once joined).
+    scheduler: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ReplicaGroup {
@@ -532,13 +464,13 @@ impl ReplicaGroup {
         self.shared.sync()
     }
 
-    /// One manual maintenance step on every replica (drain up to the
-    /// configured batch per replica). Only meaningful under
-    /// [`SyncMode::Manual`]. Returns the total observations applied.
+    /// One manual maintenance step on every replica, draining each
+    /// replica's whole queue. Returns the total observations applied.
     ///
     /// # Errors
     ///
-    /// Propagates [`ConcurrentEstimator::step`] failures.
+    /// Propagates [`ConcurrentEstimator::step`] failures, including its
+    /// refusal under [`MaintainerMode::Background`].
     pub fn pump(&self) -> Result<usize, MlqError> {
         let mut total = 0;
         for replica in &self.shared.replicas {
@@ -569,20 +501,16 @@ impl ReplicaGroup {
         merged
     }
 
-    /// Stops the tier: joins the driver and scheduler threads, drains
-    /// every replica's queue, runs one final anti-entropy round so every
+    /// Stops the tier: joins the scheduler thread, drains every
+    /// replica's queue, runs one final anti-entropy round so every
     /// replica converges to the union of all streams, and shuts each
     /// replica down. Idempotent; later calls return `None`.
     pub fn shutdown(&self) -> Option<GroupReport> {
-        let threads = {
-            let mut guard = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.take()?
-        };
-        self.shared.stop.store(true, Ordering::Release);
-        for handle in threads.drivers {
-            let _ = handle.join();
+        if self.shared.stop.swap(true, Ordering::AcqRel) {
+            return None;
         }
-        if let Some(handle) = threads.scheduler {
+        let scheduler = self.scheduler.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(handle) = scheduler {
             let _ = handle.join();
         }
         self.flush();

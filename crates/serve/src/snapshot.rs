@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 
 use mlq_core::{BatchPlan, BreakerState, FrozenTree, GuardCounters, MlqError};
-use mlq_udfs::{CostKind, ExecutionCost};
+use mlq_udfs::ExecutionCost;
 
 /// Per-thread scratch for [`ShardSnapshot::predict_batch_into`]: the
 /// quantization plan plus the two component output buffers.
@@ -287,22 +287,6 @@ impl ShardSnapshot {
             }));
             Ok(())
         })
-    }
-
-    /// Predicts one cost component.
-    ///
-    /// # Errors
-    ///
-    /// Propagates malformed-point errors.
-    pub fn predict_component(
-        &self,
-        point: &[f64],
-        kind: CostKind,
-    ) -> Result<Option<f64>, MlqError> {
-        match kind {
-            CostKind::Cpu => self.cpu.predict(point),
-            CostKind::DiskIo => self.io.predict(point),
-        }
     }
 
     /// The combined cost of an observed execution under this shard's

@@ -26,6 +26,8 @@ use mlq_serve::{ConcurrentEstimator, FleetConfig, MaintainerMode, ServeConfig};
 use mlq_synth::{CostSurface, FleetScenario, QueryDistribution};
 use mlq_udfs::ExecutionCost;
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn space() -> mlq_core::Space {
     mlq_core::Space::cube(2, 0.0, 1000.0).unwrap()
@@ -219,6 +221,96 @@ fn hibernation_roundtrip_is_bit_identical() {
         panic!("hibernation round trip diverged:\n{diff}(diff written to {})", path.display());
     }
     assert!(!fleet.is_hibernated("M1").unwrap(), "prediction must wake the shard");
+    assert!(
+        fleet.metrics().counter("mlq_catalog_restores").unwrap_or(0) > 0,
+        "no restore was counted — hibernation never round-tripped"
+    );
+    fleet.shutdown();
+    twin.shutdown();
+}
+
+/// Property 2 under the background maintainer, the configuration the
+/// README documents: with nobody stepping, the maintainer thread's own
+/// idle rounds hibernate both shards, and a read wakes each one inline.
+/// Every prediction after the round trip must match a never-hibernated
+/// twin bit for bit. The reads run on a helper thread behind a timeout,
+/// so a wake that never completes fails the test instead of hanging it.
+#[test]
+fn background_maintainer_hibernates_and_wakes_bit_identically() {
+    let seed = harness_seed();
+    let names = model_names(2);
+    let fleet = Arc::new(build(
+        &names,
+        ServeConfig {
+            maintainer: MaintainerMode::Background,
+            ..serve_config(
+                Some(FleetConfig { global_budget: 1 << 30, hibernate_after: 2 }),
+                1 << 20,
+            )
+        },
+    ));
+    let twin = build(&names, serve_config(None, 1 << 20));
+
+    let mut rng = SplitMix64(seed ^ 0xBA6);
+    for _ in 0..300 {
+        let shard = (rng.next_u64() % 2) as usize;
+        let point = [rng.next_f64() * 1000.0, rng.next_f64() * 1000.0];
+        let cost = ExecutionCost {
+            cpu: (1 + rng.next_u64() % 800) as f64 / 8.0,
+            io: (1 + rng.next_u64() % 160) as f64 / 8.0,
+            results: 1,
+        };
+        fleet.observe(&names[shard], &point, cost).unwrap();
+        twin.observe(&names[shard], &point, cost).unwrap();
+    }
+    fleet.flush();
+    twin.flush();
+
+    // No reads at all: both shards go cold and hibernate on their own.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !names.iter().all(|name| fleet.is_hibernated(name).unwrap()) {
+        assert!(
+            Instant::now() < deadline,
+            "shards never hibernated under the background maintainer"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (tx, rx) = mpsc::channel();
+    let reader = Arc::clone(&fleet);
+    let reader_names = names.clone();
+    let reads = std::thread::spawn(move || {
+        let woken: Vec<Vec<Option<u64>>> = reader_names
+            .iter()
+            .map(|name| {
+                probe_points()
+                    .iter()
+                    .map(|p| reader.predict(name, p).unwrap().map(f64::to_bits))
+                    .collect()
+            })
+            .collect();
+        tx.send(woken).ok();
+    });
+    let woken = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a read against a hibernated shard never returned");
+    reads.join().unwrap();
+
+    let mut diff = String::new();
+    for (name, got_row) in names.iter().zip(&woken) {
+        for (p, got) in probe_points().iter().zip(got_row) {
+            let want = twin.predict(name, p).unwrap().map(f64::to_bits);
+            if *got != want {
+                diff.push_str(&format!(
+                    "shard {name} probe {p:?}: woken {got:?} != twin {want:?}\n"
+                ));
+            }
+        }
+    }
+    if !diff.is_empty() {
+        let path = write_diff(&format!("background_hibernate_seed_{seed}"), &diff);
+        panic!("background wake diverged:\n{diff}(diff written to {})", path.display());
+    }
     assert!(
         fleet.metrics().counter("mlq_catalog_restores").unwrap_or(0) > 0,
         "no restore was counted — hibernation never round-tripped"

@@ -21,7 +21,7 @@
 use mlq_core::GuardConfig;
 use mlq_serve::{
     ConcurrentEstimator, DurabilityConfig, DurabilityStatus, MaintainerMode, ReplicaGroup,
-    ReplicaGroupConfig, RetryPolicy, ServeConfig, SyncMode,
+    ReplicaGroupConfig, RetryPolicy, ServeConfig,
 };
 use mlq_storage::FaultConfig;
 use mlq_udfs::ExecutionCost;
@@ -53,14 +53,12 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-fn group_config(mode: SyncMode, ship_envelopes: bool) -> ReplicaGroupConfig {
+fn group_config(maintainer: MaintainerMode) -> ReplicaGroupConfig {
     ReplicaGroupConfig {
         replicas: REPLICAS,
-        serve: serve_config(),
+        serve: ServeConfig { maintainer, ..serve_config() },
         delta_budget: 1 << 20,
         sync_interval: Duration::from_millis(20),
-        mode,
-        ship_envelopes,
     }
 }
 
@@ -224,7 +222,7 @@ fn feed_interleaved(group: &ReplicaGroup, stream: &[Obs], seed: u64) {
 fn merged_replicas_match_union_stream_reference() {
     let seed = harness_seed();
     let stream = workload(seed, STREAM_LEN);
-    let group = build_group(group_config(SyncMode::Manual, true));
+    let group = build_group(group_config(MaintainerMode::Manual));
     feed_interleaved(&group, &stream, seed);
 
     let reference = reference_predictions(&stream);
@@ -247,7 +245,7 @@ fn merged_replicas_match_union_under_storage_faults() {
     let stream = workload(seed, STREAM_LEN);
     let dir = temp_dir("faults");
 
-    let mut b = ReplicaGroup::builder(group_config(SyncMode::Manual, true));
+    let mut b = ReplicaGroup::builder(group_config(MaintainerMode::Manual));
     for name in NAMES {
         b = b.register(name, &space()).unwrap();
     }
@@ -278,14 +276,14 @@ fn merged_replicas_match_union_under_storage_faults() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The background tier (driver threads + anti-entropy scheduler)
-/// converges to the same invariant once shut down: shutdown joins the
+/// The background tier (replica maintainer threads + anti-entropy
+/// scheduler) converges to the same invariant once shut down: shutdown joins the
 /// threads, drains every queue, and runs the final round.
 #[test]
 fn background_group_converges_on_shutdown() {
     let seed = harness_seed() ^ 0xB6;
     let stream = workload(seed, STREAM_LEN);
-    let mut config = group_config(SyncMode::Background, true);
+    let mut config = group_config(MaintainerMode::Background);
     config.sync_interval = Duration::from_millis(5);
     let group = build_group(config);
     for o in &stream {
@@ -304,33 +302,23 @@ fn background_group_converges_on_shutdown() {
     assert_eq!(applied, STREAM_LEN as u64, "every observation was absorbed somewhere");
 }
 
-/// Envelope shipping and in-memory cloning must be observably identical:
-/// the CRC-32 envelope round-trip is value-exact.
+/// Merged models ship through the CRC-32 envelope, whose round trip is
+/// value-exact: the shipped replicas match the reference bit for bit,
+/// and every shipped byte is accounted.
 #[test]
-fn envelope_and_clone_shipping_agree_bit_for_bit() {
+fn envelope_shipping_is_bit_exact_and_counted() {
     let seed = harness_seed() ^ 0xE27;
     let stream = workload(seed, STREAM_LEN);
     let reference = reference_predictions(&stream);
-    for ship_envelopes in [true, false] {
-        let group = build_group(group_config(SyncMode::Manual, ship_envelopes));
-        feed_interleaved(&group, &stream, seed);
-        for r in 0..REPLICAS {
-            let got = predictions(group.replica(r));
-            assert_equivalent(
-                &format!("ship{ship_envelopes}_seed{seed}_replica{r}"),
-                &got,
-                &reference,
-            );
-        }
-        let metrics = group.metrics();
-        let shipped = metrics.counter("mlq_serve_replica_envelope_bytes").unwrap_or(0);
-        if ship_envelopes {
-            assert!(shipped > 0, "envelope mode must account shipped bytes");
-        } else {
-            assert_eq!(shipped, 0, "clone mode ships no envelopes");
-        }
-        group.shutdown();
+    let group = build_group(group_config(MaintainerMode::Manual));
+    feed_interleaved(&group, &stream, seed);
+    for r in 0..REPLICAS {
+        let got = predictions(group.replica(r));
+        assert_equivalent(&format!("envelope_seed{seed}_replica{r}"), &got, &reference);
     }
+    let shipped = group.metrics().counter("mlq_serve_replica_envelope_bytes").unwrap_or(0);
+    assert!(shipped > 0, "shipped envelope bytes must be accounted");
+    group.shutdown();
 }
 
 /// The `mlq_serve_replica_*` series and the labeled per-replica registry
@@ -339,7 +327,7 @@ fn envelope_and_clone_shipping_agree_bit_for_bit() {
 fn replica_metrics_expose_sync_rounds_and_labeled_views() {
     let seed = harness_seed() ^ 0x3E7;
     let stream = workload(seed, STREAM_LEN);
-    let group = build_group(group_config(SyncMode::Manual, true));
+    let group = build_group(group_config(MaintainerMode::Manual));
     feed_interleaved(&group, &stream, seed);
 
     let metrics = group.metrics();
@@ -372,7 +360,7 @@ fn replica_metrics_expose_sync_rounds_and_labeled_views() {
 
 /// Misconfigurations fail loudly, not at sync time.
 #[test]
-fn replication_requires_manual_mode_and_delta_tracking() {
+fn replication_requires_delta_tracking_and_a_live_service() {
     // take_deltas / install_models without delta tracking.
     let svc = ConcurrentEstimator::builder(serve_config())
         .register("X", &space())
@@ -383,28 +371,29 @@ fn replication_requires_manual_mode_and_delta_tracking() {
     assert!(svc.install_models(Vec::new()).is_err());
     svc.shutdown();
 
-    // A background-maintainer service refuses the replication half-steps
-    // even with tracking enabled.
+    // A background-maintainer service serves the replication half-steps
+    // while live and refuses them once shut down.
     let svc = ConcurrentEstimator::builder(ServeConfig::default())
         .with_delta_tracking(1 << 16)
         .register("X", &space())
         .unwrap()
         .build()
         .unwrap();
-    assert!(svc.take_deltas().is_err());
+    assert_eq!(svc.take_deltas().unwrap().len(), 1);
     svc.shutdown();
+    assert!(svc.take_deltas().is_err());
 
     // Group-level validation.
-    let empty = ReplicaGroup::builder(group_config(SyncMode::Manual, true)).build();
+    let empty = ReplicaGroup::builder(group_config(MaintainerMode::Manual)).build();
     assert!(empty.is_err(), "no registered UDFs");
     let zero = ReplicaGroup::builder(ReplicaGroupConfig {
         replicas: 0,
-        ..group_config(SyncMode::Manual, true)
+        ..group_config(MaintainerMode::Manual)
     })
     .register("X", &space())
     .and_then(mlq_serve::ReplicaGroupBuilder::build);
     assert!(zero.is_err(), "zero replicas");
-    let out_of_range = ReplicaGroup::builder(group_config(SyncMode::Manual, true))
+    let out_of_range = ReplicaGroup::builder(group_config(MaintainerMode::Manual))
         .with_replica_durability(REPLICAS, DurabilityConfig::new(temp_dir("oob")));
     assert!(out_of_range.is_err(), "durability index out of range");
 }
@@ -420,7 +409,7 @@ proptest! {
         len in 40usize..160,
     ) {
         let stream = workload(seed, len);
-        let group = build_group(group_config(SyncMode::Manual, true));
+        let group = build_group(group_config(MaintainerMode::Manual));
         let mut rng = SplitMix64(seed ^ 0xABCD);
         for o in &stream {
             group.replica(o.replica).observe(NAMES[o.shard], &o.point, o.cost).unwrap();

@@ -42,7 +42,9 @@ impl Bencher {
         self.elapsed = start.elapsed();
     }
 
-    /// Times `routine` over inputs built (untimed) by `setup`.
+    /// Times `routine` over inputs built (untimed) by `setup`. The clock
+    /// stops before the routine's output is dropped, so freeing it is
+    /// not timed either.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -52,8 +54,9 @@ impl Bencher {
         for _ in 0..self.iterations {
             let input = setup();
             let start = Instant::now();
-            std::hint::black_box(routine(input));
+            let output = std::hint::black_box(routine(input));
             elapsed += start.elapsed();
+            drop(output);
         }
         self.elapsed = elapsed;
     }
@@ -170,5 +173,21 @@ mod tests {
     fn harness_runs_groups() {
         criterion_group!(benches, bench_square);
         benches();
+    }
+
+    /// An output whose drop takes 20 ms.
+    struct SlowDrop;
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn iter_batched_does_not_time_dropping_the_output() {
+        let mut b = Bencher { iterations: 1, elapsed: Duration::ZERO };
+        b.iter_batched(|| (), |()| SlowDrop, BatchSize::PerIteration);
+        assert!(b.elapsed < Duration::from_millis(20), "timed the output's drop: {:?}", b.elapsed);
     }
 }
