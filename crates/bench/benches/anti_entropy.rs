@@ -39,18 +39,18 @@ fn group_with_pending_deltas(points: &[Vec<f64>], actuals: &[f64]) -> ReplicaGro
 
 fn bench_sync(c: &mut Criterion) {
     let (points, actuals) = standard_workload(REPLICAS * BATCH, 17);
-    // Dropping a group shuts it down with one more round; park the spent
-    // groups here so that round stays out of the timing.
-    let mut spent = Vec::new();
     let mut group = c.benchmark_group("anti_entropy");
     group.sample_size(20);
     group.bench_function("sync_4_replicas", |b| {
         b.iter_batched(
             || group_with_pending_deltas(&points, &actuals),
+            // Dropping a group shuts it down with one more round; the
+            // routine returns the spent group so that round runs after
+            // the clock stops.
             |replicas| {
                 let report = replicas.sync().expect("sync");
-                spent.push(replicas);
-                black_box(report.merged_observations)
+                black_box(report.merged_observations);
+                replicas
             },
             BatchSize::PerIteration,
         )

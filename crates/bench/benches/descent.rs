@@ -1,7 +1,7 @@
 //! Microbenchmarks of the frozen read path's three layers: scalar
-//! descent (the single-call floor), the multi-lane batched kernel at
-//! several batch sizes, and copy-on-write republication vs. a full
-//! freeze after a small feedback batch.
+//! descent (the single-call floor), the fused CPU+IO pair kernel over a
+//! 256-query batch (the shard read path), and copy-on-write
+//! republication vs. a full freeze after a small feedback batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlq_bench::standard_workload;
@@ -45,33 +45,11 @@ fn bench_descent(c: &mut Criterion) {
             black_box(frozen.predict(black_box(&queries[i])).unwrap())
         })
     });
-    for batch in [8usize, 64, 512] {
-        let mut out = Vec::with_capacity(batch);
-        group.bench_function(&format!("batch_{batch}"), |b| {
-            b.iter(|| {
-                frozen.predict_batch_into(black_box(&queries[..batch]), &mut out).unwrap();
-                black_box(out.len())
-            })
-        });
-    }
-    // The serving layer's shape: prepare the plan once, descend many
-    // trees (here the same one twice, standing in for the CPU+IO pair).
-    let mut plan = BatchPlan::new();
-    let mut out = Vec::with_capacity(256);
-    group.bench_function("planned_256_two_trees", |b| {
-        b.iter(|| {
-            plan.prepare(&frozen.config().space, frozen.packed_levels(), &queries[..256]).unwrap();
-            frozen.predict_planned_into(&plan, &mut out);
-            black_box(out.len());
-            frozen.predict_planned_into(&plan, &mut out);
-            black_box(out.len())
-        })
-    });
-    // The actual shard read path: both trees fused into one wave so their
-    // record loads overlap. Compare against planned_256_two_trees to see
-    // what the fusion buys.
+    // The shard read path: prepare the plan once and descend both trees
+    // fused into one wave, so their record loads overlap.
     let (model_b, _) = trained(4, 2000);
     let frozen_b = model_b.freeze();
+    let mut plan = BatchPlan::new();
     let (mut out_a, mut out_b) = (Vec::with_capacity(256), Vec::with_capacity(256));
     group.bench_function("planned_256_fused_pair", |b| {
         b.iter(|| {

@@ -4,8 +4,8 @@
 //!
 //! * `core_ops` — MLQ predict / insert / compress microbenches (the APC
 //!   and AUC quantities of paper Eqs. 1–2);
-//! * `descent` — the frozen read path: scalar descent, the multi-lane
-//!   batched kernel, and copy-on-write republication;
+//! * `descent` — the frozen read path: scalar descent, the fused CPU+IO
+//!   pair kernel, and copy-on-write republication;
 //! * `baseline_ops` — SH-W / SH-H fit and predict;
 //! * `udf_exec` — raw execution cost of the six real UDFs;
 //! * `figures` — one bench per paper figure (8, 9, 10, 11, 12), running

@@ -56,17 +56,20 @@
 //! ([`FrozenTree::validate_slabs`]), the loop indexes records and child
 //! slots without per-step bounds checks.
 //!
-//! ## Multi-lane batches
+//! ## Fused pair batches
 //!
-//! [`FrozenTree::predict_batch_into`] descends [`LANES`] queries per
-//! wave in lockstep depth: one pass gathers the packed records of every
-//! live lane (independent loads the CPU overlaps), a second pass does the
-//! β-compare and per-lane advance, issuing a software prefetch for each
-//! lane's next record. Lanes retire independently — a lane whose block
-//! drops under `β` or runs out of children keeps its answer while the
-//! rest of the wave descends. The result is bit-identical to running the
-//! scalar descent per query; trees with multi-word masks (`d ≥ 7`) fall
-//! back to the scalar loop.
+//! A shard always reads a CPU and an IO tree over the same space, so the
+//! one multi-lane kernel, [`FrozenTree::predict_planned_pair_into`],
+//! descends both trees for [`LANES`] queries per wave in lockstep depth:
+//! one pass gathers the packed records of every live lane in both slabs
+//! (independent loads the CPU overlaps), a second pass extracts each
+//! lane's child slot once and does both trees' β-compare and advance,
+//! issuing a software prefetch for each lane's next record. Lanes retire
+//! independently per tree — a lane whose block drops under `β` or runs
+//! out of children keeps its answer while the rest of the wave descends.
+//! The result is bit-identical to running the scalar descent per query
+//! and tree; trees with multi-word masks (`d ≥ 7`) and empty trees take
+//! the scalar descent instead.
 //!
 //! ## Copy-on-write republication
 //!
@@ -82,7 +85,6 @@
 //!
 //! [`freeze`]: MemoryLimitedQuadtree::freeze
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::config::MlqConfig;
@@ -95,7 +97,7 @@ use crate::tree::MemoryLimitedQuadtree;
 /// Sentinel in the wide-mask `mask` field marking a childless node.
 const WIDE_LEAF: u64 = u64::MAX;
 
-/// Queries descended per wave by the batched kernel.
+/// Queries descended per wave by the fused pair kernel.
 const LANES: usize = 16;
 
 /// Records per copy-on-write chunk (2 KiB of 32-byte records — a handful
@@ -150,8 +152,8 @@ struct Provenance {
 /// once.
 ///
 /// Build with [`BatchPlan::prepare`], run with
-/// [`FrozenTree::predict_planned_into`]. The plan owns its buffers and
-/// reuses their capacity across calls.
+/// [`FrozenTree::predict_planned_pair_into`]. The plan owns its buffers
+/// and reuses their capacity across calls.
 #[derive(Debug, Default)]
 pub struct BatchPlan {
     grids: Vec<GridPoint>,
@@ -188,7 +190,14 @@ impl BatchPlan {
         self.grids.reserve(points.len());
         self.words.reserve(points.len());
         for p in points {
-            let grid = space.grid_point(p.as_ref())?;
+            let grid = match space.grid_point(p.as_ref()) {
+                Ok(grid) => grid,
+                Err(e) => {
+                    self.grids.clear();
+                    self.words.clear();
+                    return Err(e);
+                }
+            };
             self.words.push(grid.descent_word(self.levels));
             self.grids.push(grid);
         }
@@ -212,13 +221,6 @@ impl BatchPlan {
     pub fn levels(&self) -> u32 {
         self.levels
     }
-}
-
-thread_local! {
-    /// Per-thread plan backing [`FrozenTree::predict_batch_into`], so the
-    /// quantization scratch survives across calls (the `FrozenTree`
-    /// itself is `Sync` and cannot own mutable scratch).
-    static BATCH_PLAN: RefCell<BatchPlan> = RefCell::new(BatchPlan::new());
 }
 
 /// A read-only prediction snapshot of a [`MemoryLimitedQuadtree`] in the
@@ -636,84 +638,6 @@ impl FrozenTree {
         self.descend(grid, 0, 0, beta)
     }
 
-    /// The multi-lane kernel: descends `grids`/`words` (parallel arrays)
-    /// in waves of [`LANES`], appending one result per query to `out`.
-    /// Bit-identical to calling [`Self::descend`] per query.
-    fn predict_planned_grids(
-        &self,
-        grids: &[GridPoint],
-        words: &[u64],
-        word_levels: u32,
-        beta: u64,
-        out: &mut Vec<Option<f64>>,
-    ) {
-        debug_assert_eq!(grids.len(), words.len());
-        let root = self.node(0);
-        if root.count == 0 {
-            out.extend(std::iter::repeat_n(None, grids.len()));
-            return;
-        }
-        if self.mask_words != 1 {
-            // Wide-mask trees (d ≥ 7) descend scalar: the multi-word rank
-            // walk does not fit the branch-free lane advance.
-            for (grid, &word) in grids.iter().zip(words) {
-                out.push(self.descend(grid, word, word_levels, beta));
-            }
-            return;
-        }
-        let slot_mask = (1u64 << self.dims) - 1;
-        let mut base = 0usize;
-        while base < grids.len() {
-            let n = LANES.min(grids.len() - base);
-            let mut idx = [0u32; LANES];
-            let mut best = [root.avg; LANES];
-            let mut recs = [root; LANES];
-            let mut live: u32 = (1u32 << n) - 1;
-            let mut depth = 0u32;
-            while live != 0 {
-                // Gather pass: load every live lane's record first so the
-                // loads issue back-to-back and overlap in the memory
-                // system before any lane's β-compare consumes them.
-                let mut m = live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    recs[l] = self.node(idx[l]);
-                }
-                // Advance pass: β-compare and step each live lane,
-                // prefetching the next record the moment it is known.
-                let mut m = live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let rec = recs[l];
-                    if rec.count < beta {
-                        live &= !(1u32 << l);
-                        continue;
-                    }
-                    best[l] = rec.avg;
-                    let slot = if depth < word_levels {
-                        ((words[base + l] >> (64 - (depth + 1) * self.dims)) & slot_mask) as usize
-                    } else {
-                        grids[base + l].child_slot(depth)
-                    };
-                    let bit = 1u64 << slot;
-                    if rec.mask & bit == 0 {
-                        live &= !(1u32 << l);
-                    } else {
-                        let rank = (rec.mask & (bit - 1)).count_ones();
-                        let child = self.child_at(rec.children_base + rank);
-                        idx[l] = child;
-                        self.prefetch(child);
-                    }
-                }
-                depth += 1;
-            }
-            out.extend(best[..n].iter().map(|&b| Some(b)));
-            base += n;
-        }
-    }
-
     /// Predicts the cost at `point` with the configured `β` — the frozen
     /// equivalent of [`MemoryLimitedQuadtree::predict`]. Out-of-range
     /// coordinates clamp onto the space boundary, like the live tree.
@@ -736,23 +660,6 @@ impl FrozenTree {
         Ok(self.predict_grid(&grid, beta))
     }
 
-    /// Runs the multi-lane kernel over a prepared [`BatchPlan`] at the
-    /// configured `β`, appending one result per planned query to `out`
-    /// (cleared first).
-    ///
-    /// The plan must have been prepared over this tree's [`Space`]; the
-    /// descent words are tree-independent, so one plan drives any number
-    /// of trees over the same space.
-    pub fn predict_planned_into(&self, plan: &BatchPlan, out: &mut Vec<Option<f64>>) {
-        debug_assert!(
-            plan.grids.iter().all(|g| g.dims() == self.config.space.dims()),
-            "plan prepared over a different space"
-        );
-        out.clear();
-        out.reserve(plan.len());
-        self.predict_planned_grids(&plan.grids, &plan.words, plan.levels, self.config.beta, out);
-    }
-
     /// Descends two trees over the same [`Space`] in one fused multi-lane
     /// pass: each wave carries a lane per query with a cursor into *both*
     /// slabs, so the plan arrays are read once, the child slot is
@@ -762,8 +669,10 @@ impl FrozenTree {
     /// IO tree for the same query batch.
     ///
     /// Appends one result per planned query to `a_out`/`b_out` (cleared
-    /// first). Bit-identical to running [`Self::predict_planned_into`]
-    /// on each tree separately.
+    /// first), each at its tree's configured `β`. Bit-identical to
+    /// [`Self::predict`] per query and tree. The plan must have been
+    /// prepared over the trees' [`Space`]; pass the same tree twice to
+    /// descend just one.
     pub fn predict_planned_pair_into(
         a: &FrozenTree,
         b: &FrozenTree,
@@ -772,22 +681,28 @@ impl FrozenTree {
         b_out: &mut Vec<Option<f64>>,
     ) {
         debug_assert_eq!(a.config.space, b.config.space, "paired trees must share a space");
+        debug_assert!(
+            plan.grids.iter().all(|g| g.dims() == a.config.space.dims()),
+            "plan prepared over a different space"
+        );
         a_out.clear();
         b_out.clear();
+        a_out.reserve(plan.len());
+        b_out.reserve(plan.len());
         let (grids, words, levels) = (&plan.grids, &plan.words, plan.levels);
+        let (beta_a, beta_b) = (a.config.beta, b.config.beta);
         let root_a = a.node(0);
         let root_b = b.node(0);
         if a.mask_words != 1 || b.mask_words != 1 || root_a.count == 0 || root_b.count == 0 {
-            // Wide masks descend scalar, and an empty tree answers
-            // `None` per query — both are what the per-tree kernel
-            // already does, so fall back to it.
-            a.predict_planned_into(plan, a_out);
-            b.predict_planned_into(plan, b_out);
+            // Wide masks (d ≥ 7) descend scalar: the multi-word rank walk
+            // does not fit the branch-free lane advance. The scalar
+            // descent also answers `None` for an empty tree.
+            for (grid, &word) in grids.iter().zip(words) {
+                a_out.push(a.descend(grid, word, levels, beta_a));
+                b_out.push(b.descend(grid, word, levels, beta_b));
+            }
             return;
         }
-        a_out.reserve(plan.len());
-        b_out.reserve(plan.len());
-        let (beta_a, beta_b) = (a.config.beta, b.config.beta);
         let dims = a.dims;
         let slot_mask = (1u64 << dims) - 1;
         let mut base = 0usize;
@@ -869,53 +784,6 @@ impl FrozenTree {
             b_out.extend(best_b[..n].iter().map(|&v| Some(v)));
             base += n;
         }
-    }
-
-    /// Predicts a whole batch of points at the configured `β`, appending
-    /// one result per point to `out` (cleared first).
-    ///
-    /// The batch is quantized (and its descent words packed) in one pass
-    /// and descended by the multi-lane kernel in another, so validation
-    /// branches stay out of the descent loop. The quantization scratch is
-    /// a per-thread [`BatchPlan`] reused across calls.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first malformed point, before any descent runs; `out`
-    /// is left empty in that case.
-    pub fn predict_batch_into<P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-        out: &mut Vec<Option<f64>>,
-    ) -> Result<(), MlqError> {
-        out.clear();
-        BATCH_PLAN.with(|plan| {
-            let mut plan = plan.borrow_mut();
-            plan.prepare(&self.config.space, self.packed_levels, points)?;
-            out.reserve(plan.len());
-            self.predict_planned_grids(
-                &plan.grids,
-                &plan.words,
-                plan.levels,
-                self.config.beta,
-                out,
-            );
-            Ok(())
-        })
-    }
-
-    /// [`Self::predict_batch_into`] returning a fresh `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::predict_batch_into`].
-    pub fn predict_batch<P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-    ) -> Result<Vec<Option<f64>>, MlqError> {
-        let mut out = Vec::with_capacity(points.len());
-        self.predict_batch_into(points, &mut out)?;
-        Ok(out)
     }
 
     /// True when `prev` is the tree's most recent snapshot and nothing
@@ -1043,6 +911,21 @@ mod tests {
         }
     }
 
+    /// Runs the fused pair kernel over `queries` (planned at the wider of
+    /// the two trees' packed levels, like the shard read path) and
+    /// returns both trees' answers.
+    fn pair_batch(
+        a: &FrozenTree,
+        b: &FrozenTree,
+        queries: &[Vec<f64>],
+    ) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+        let mut plan = BatchPlan::new();
+        plan.prepare(&a.config().space, a.packed_levels().max(b.packed_levels()), queries).unwrap();
+        let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
+        FrozenTree::predict_planned_pair_into(a, b, &plan, &mut a_out, &mut b_out);
+        (a_out, b_out)
+    }
+
     /// Asserts the two snapshots are bit-identical in content: same
     /// records, same structure, same root summary.
     fn assert_bit_identical(a: &FrozenTree, b: &FrozenTree) {
@@ -1072,7 +955,8 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.node_count(), 1);
         assert_eq!(f.predict(&[1.0, 2.0]).unwrap(), None);
-        assert_eq!(f.predict_batch(&[vec![1.0, 2.0], vec![9.0, 9.0]]).unwrap(), vec![None, None]);
+        let (a, b) = pair_batch(&f, &f, &[vec![1.0, 2.0], vec![9.0, 9.0]]);
+        assert_eq!((a, b), (vec![None, None], vec![None, None]));
     }
 
     #[test]
@@ -1125,28 +1009,26 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_single_calls() {
+    fn pair_batch_matches_single_calls() {
         let mut m = model(1 << 14);
         spread_points(&mut m, 300);
         let f = m.freeze();
         let queries: Vec<Vec<f64>> = (0..200u32)
             .map(|i| vec![f64::from(i * 37 % 1009) % 1000.0, f64::from(i * 11 % 997) % 1000.0])
             .collect();
-        let batch = f.predict_batch(&queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batch) {
-            assert_eq!(*b, f.predict(q).unwrap(), "point {q:?}");
+        let (a, b) = pair_batch(&f, &f, &queries);
+        assert_eq!(a.len(), queries.len());
+        assert_eq!(a, b, "the same tree twice answers the same");
+        for (q, got) in queries.iter().zip(&a) {
+            assert_eq!(*got, f.predict(q).unwrap(), "point {q:?}");
         }
-        // The reusable-buffer form agrees and clears stale contents.
-        let mut out = vec![Some(f64::NAN); 3];
-        f.predict_batch_into(&queries, &mut out).unwrap();
-        assert_eq!(out, batch);
     }
 
     #[test]
     fn planned_batches_are_reusable_across_trees() {
-        // One plan over the space drives two different trees, and partial
-        // waves (len not a multiple of LANES) retire correctly.
+        // One plan over the space drives two different trees, partial
+        // waves (len not a multiple of LANES) retire correctly, and the
+        // output buffers are cleared of stale contents.
         let mut a = model(1 << 14);
         let mut b = model(1 << 14);
         spread_points(&mut a, 300);
@@ -1160,27 +1042,29 @@ mod tests {
         assert_eq!(plan.len(), queries.len());
         assert!(!plan.is_empty());
         assert!(plan.levels() > 0);
-        let mut out = vec![Some(f64::NAN)];
-        for f in [&fa, &fb] {
-            f.predict_planned_into(&plan, &mut out);
-            assert_eq!(out.len(), queries.len());
-            for (q, got) in queries.iter().zip(&out) {
-                assert_eq!(*got, f.predict(q).unwrap(), "point {q:?}");
+        let (mut a_out, mut b_out) = (vec![Some(f64::NAN)], vec![Some(f64::NAN); 3]);
+        for (x, y) in [(&fa, &fb), (&fb, &fa)] {
+            FrozenTree::predict_planned_pair_into(x, y, &plan, &mut a_out, &mut b_out);
+            for (f, out) in [(x, &a_out), (y, &b_out)] {
+                assert_eq!(out.len(), queries.len());
+                for (q, got) in queries.iter().zip(out) {
+                    assert_eq!(*got, f.predict(q).unwrap(), "point {q:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn predict_batch_fails_fast_on_malformed_points() {
-        let mut m = model(1 << 14);
-        spread_points(&mut m, 50);
-        let f = m.freeze();
-        let mut out = Vec::new();
+    fn plan_prepare_fails_fast_on_malformed_points() {
+        let space = model(1 << 14).config().space.clone();
+        let mut plan = BatchPlan::new();
+        plan.prepare(&space, 4, &[vec![5.0, 5.0]]).unwrap();
         let bad = [vec![1.0, 1.0], vec![f64::NAN, 2.0]];
-        assert!(f.predict_batch_into(&bad, &mut out).is_err());
-        assert!(out.is_empty(), "no partial results on a failed batch");
+        assert!(plan.prepare(&space, 4, &bad).is_err());
+        assert!(plan.is_empty(), "no partial plan on a failed prepare");
         let wrong_dims = [vec![1.0, 1.0], vec![3.0]];
-        assert!(f.predict_batch(&wrong_dims).is_err());
+        assert!(plan.prepare(&space, 4, &wrong_dims).is_err());
+        assert!(plan.is_empty());
     }
 
     #[test]
@@ -1200,7 +1084,7 @@ mod tests {
         m.insert(&[0.0, 1000.0], 9.0).unwrap();
         let f = m.freeze();
         assert_eq!(f.predict(&[-50.0, 2000.0]).unwrap(), Some(9.0));
-        assert_eq!(f.predict_batch(&[vec![-50.0, 2000.0]]).unwrap(), vec![Some(9.0)]);
+        assert_eq!(pair_batch(&f, &f, &[vec![-50.0, 2000.0]]).0, vec![Some(9.0)]);
         assert!(f.predict(&[1.0],).is_err());
         assert!(f.predict(&[f64::NAN, 1.0]).is_err());
     }
@@ -1347,10 +1231,12 @@ mod tests {
                 );
             }
         }
-        // The batch kernel's wide fallback agrees with scalar descents.
-        let batch = f.predict_batch(&pts).unwrap();
-        for (p, got) in pts.iter().zip(&batch) {
-            assert_eq!(*got, f.predict(p).unwrap());
+        // The pair kernel's wide-mask fallback agrees with scalar
+        // descents.
+        let (a, b) = pair_batch(&f, &f, &pts);
+        for ((p, got_a), got_b) in pts.iter().zip(&a).zip(&b) {
+            assert_eq!(*got_a, f.predict(p).unwrap());
+            assert_eq!(*got_b, f.predict(p).unwrap());
         }
         let internal = m.nodes().iter().filter(|n| n.n_children > 0).count();
         let boxed_layout = f.node_count() * NODE_BYTES + internal * child_array_bytes(7);

@@ -278,18 +278,8 @@ impl TreeSnapshot {
     /// documented at the [module level](self).
     #[must_use]
     pub fn to_envelope(&self) -> Vec<u8> {
-        let payload =
-            serde_json::to_string(self).expect("snapshot serialization is infallible").into_bytes();
-        let version = SNAPSHOT_VERSION.to_le_bytes();
-        let len = (payload.len() as u64).to_le_bytes();
-        let crc = crc32(&[&version, &len, &payload]).to_le_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&version);
-        out.extend_from_slice(&len);
-        out.extend_from_slice(&crc);
-        out.extend_from_slice(&payload);
-        out
+        let payload = serde_json::to_string(self).expect("snapshot serialization is infallible");
+        seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload.as_bytes())
     }
 
     /// Decodes an envelope, verifying magic, version, length, and
@@ -315,51 +305,24 @@ impl TreeSnapshot {
 }
 
 fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
-    let corrupt = |reason: &str| DecodeFailure::Corrupt(reason.to_string());
-    if bytes.len() < HEADER_LEN {
-        return Err(DecodeFailure::Corrupt(format!(
-            "truncated envelope: {} bytes, header needs {HEADER_LEN}",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version_bytes: [u8; 4] = bytes[4..8].try_into().expect("slice length checked");
-    let len_bytes: [u8; 8] = bytes[8..16].try_into().expect("slice length checked");
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().expect("slice length checked"));
-    let payload_len = u64::from_le_bytes(len_bytes);
-    let Ok(payload_len) = usize::try_from(payload_len) else {
-        return Err(corrupt("payload length overflows usize"));
-    };
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != payload_len {
-        return Err(DecodeFailure::Corrupt(format!(
-            "payload length mismatch: header claims {payload_len}, found {}",
-            payload.len()
-        )));
-    }
-    let actual_crc = crc32(&[&version_bytes, &len_bytes, payload]);
-    if actual_crc != stored_crc {
-        return Err(DecodeFailure::Corrupt(format!(
-            "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
+    let (version, payload) = open_frame_any(SNAPSHOT_MAGIC, bytes)
+        .map_err(|e| DecodeFailure::Corrupt(format!("envelope {e}")))?;
     // Checksum verified: a version difference is now a genuine format
     // difference, not a flipped bit.
-    let version = u32::from_le_bytes(version_bytes);
     if version != SNAPSHOT_VERSION {
         return Err(DecodeFailure::Version { found: version });
     }
-    let text = std::str::from_utf8(payload).map_err(|_| corrupt("payload is not UTF-8"))?;
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| DecodeFailure::Corrupt("payload is not UTF-8".to_string()))?;
     serde_json::from_str(text)
         .map_err(|e| DecodeFailure::Corrupt(format!("payload does not parse: {e}")))
 }
 
-/// Seals `payload` in the same `magic ‖ version ‖ length ‖ CRC-32 ‖
-/// payload` envelope layout the snapshot format uses, under a caller
-/// chosen magic and version. The checksum covers version, length, and
-/// payload, so header corruption is detected like payload corruption.
+/// Seals `payload` in the `magic ‖ version ‖ length ‖ CRC-32 ‖ payload`
+/// envelope layout, under a caller chosen magic and version; snapshot
+/// envelopes are this frame under [`SNAPSHOT_MAGIC`]. The checksum
+/// covers version, length, and payload, so header corruption is
+/// detected like payload corruption.
 ///
 /// [`open_frame`] is the inverse. The serving layer's checkpoint
 /// metadata and journal headers use this so every durable artifact in
@@ -388,14 +351,24 @@ pub fn seal_frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
 /// version other than `version`.
 pub fn open_frame(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8], MlqError> {
     let corrupt = |reason: String| MlqError::SnapshotCorrupt { reason };
+    let (found, payload) =
+        open_frame_any(magic, bytes).map_err(|e| corrupt(format!("frame {e}")))?;
+    if found != version {
+        return Err(corrupt(format!("unsupported frame version {found} (expected {version})")));
+    }
+    Ok(payload)
+}
+
+/// Validates a frame's magic, length, and checksum and returns the
+/// version it records with its payload, whatever that version is — so
+/// callers can tell an intact frame from another format version apart
+/// from corruption.
+fn open_frame_any(magic: [u8; 4], bytes: &[u8]) -> Result<(u32, &[u8]), String> {
     if bytes.len() < HEADER_LEN {
-        return Err(corrupt(format!(
-            "truncated frame: {} bytes, header needs {HEADER_LEN}",
-            bytes.len()
-        )));
+        return Err(format!("truncated: {} bytes, header needs {HEADER_LEN}", bytes.len()));
     }
     if bytes[0..4] != magic {
-        return Err(corrupt("bad frame magic".to_string()));
+        return Err("has bad magic".to_string());
     }
     let version_bytes: [u8; 4] = bytes[4..8].try_into().expect("slice length checked");
     let len_bytes: [u8; 8] = bytes[8..16].try_into().expect("slice length checked");
@@ -403,22 +376,15 @@ pub fn open_frame(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8], M
     let payload = &bytes[HEADER_LEN..];
     let claimed = u64::from_le_bytes(len_bytes);
     if claimed != payload.len() as u64 {
-        return Err(corrupt(format!(
-            "frame length mismatch: header claims {claimed}, found {}",
-            payload.len()
-        )));
+        return Err(format!("length mismatch: header claims {claimed}, found {}", payload.len()));
     }
     let actual_crc = crc32(&[&version_bytes, &len_bytes, payload]);
     if actual_crc != stored_crc {
-        return Err(corrupt(format!(
-            "frame checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
+        return Err(format!(
+            "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+        ));
     }
-    let found = u32::from_le_bytes(version_bytes);
-    if found != version {
-        return Err(corrupt(format!("unsupported frame version {found} (expected {version})")));
-    }
-    Ok(payload)
+    Ok((u32::from_le_bytes(version_bytes), payload))
 }
 
 impl MemoryLimitedQuadtree {
@@ -609,6 +575,20 @@ mod tests {
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b""]), 0);
+    }
+
+    /// Golden bytes: the envelope of a fixed tree is pinned by length and
+    /// CRC-32, so a change to the framing code cannot silently change
+    /// what hibernation and checkpoints write.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let bytes = trained_model().snapshot().to_envelope();
+        assert_eq!(bytes.len(), 3584);
+        assert_eq!(crc32(&[&bytes]), 0xD162_2A77);
+        assert_eq!(
+            open_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &bytes).unwrap(),
+            &bytes[HEADER_LEN..]
+        );
     }
 
     #[test]

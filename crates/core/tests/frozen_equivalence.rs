@@ -7,7 +7,7 @@
 //! holding a frozen snapshot must see the same estimates the maintainer's
 //! live model would have given at publication time.
 
-use mlq_core::{FrozenTree, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space};
+use mlq_core::{BatchPlan, FrozenTree, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space};
 use proptest::prelude::*;
 
 const DIMS: usize = 2;
@@ -146,11 +146,15 @@ fn assert_equivalent(
             );
         }
     }
-    // The batched path is the same function evaluated in bulk.
+    // The fused pair kernel is the same function evaluated in bulk.
     let all: Vec<Vec<f64>> = queries.iter().chain(clamped.iter()).cloned().collect();
-    let batch = frozen.predict_batch(&all).unwrap();
-    for (q, b) in all.iter().zip(&batch) {
+    let mut plan = BatchPlan::new();
+    plan.prepare(&frozen.config().space, frozen.packed_levels(), &all).unwrap();
+    let (mut batch, mut twin) = (Vec::new(), Vec::new());
+    FrozenTree::predict_planned_pair_into(&frozen, &frozen, &plan, &mut batch, &mut twin);
+    for ((q, b), t) in all.iter().zip(&batch).zip(&twin) {
         prop_assert_eq!(*b, live.predict(q).unwrap(), "batch diverged at {:?}", q);
+        prop_assert_eq!(*t, *b, "pair sides diverged at {:?}", q);
     }
     prop_assert_eq!(frozen.node_count(), live.node_count());
     Ok(())

@@ -1,14 +1,14 @@
 //! Property: the fast read path is bit-for-bit invisible. Two invariants
 //! guard the rework:
 //!
-//!  * **Multi-lane ≡ scalar.** The batched descent kernel (packed
-//!    descent words, sixteen queries per wave, software prefetch) must
-//!    answer every query with exactly the bits the per-point scalar
-//!    descent produces — for eager and lazy trees, pre- and
+//!  * **Fused pair ≡ scalar.** The one multi-lane kernel, the fused
+//!    two-tree pair descent the shard read path uses (packed descent
+//!    words, sixteen queries per wave, software prefetch), must answer
+//!    every query with exactly the bits the per-point scalar descent
+//!    produces on each tree — for eager and lazy trees, pre- and
 //!    post-compression, at every batch size including partial waves,
-//!    through the planned-batch entry point shared by the serving layer,
-//!    and through the fused two-tree pair kernel the shard read path
-//!    uses.
+//!    with one tree empty, with the same tree twice, and for wide-mask
+//!    trees.
 //!
 //!  * **CoW ≡ fresh freeze.** A snapshot republished by patching the
 //!    previous frozen tree copy-on-write must be bit-identical — node
@@ -83,60 +83,36 @@ fn fail_with_diff(tag: &str, diff: &str) -> ! {
     panic!("{diff}\n(diff written to {})", path.display());
 }
 
-/// Asserts the batched kernel reproduces the scalar descent bit-for-bit,
-/// at every batch size from a single lone query up through several full
-/// waves, through both the implicit-plan and prepared-plan entry points.
-/// The output buffer is reused across calls, so stale-result clearing is
-/// exercised too.
-fn assert_batch_matches_scalar(tag: &str, frozen: &FrozenTree, queries: &[Vec<f64>]) {
-    let scalar: Vec<Option<u64>> =
-        queries.iter().map(|q| frozen.predict(q).unwrap().map(f64::to_bits)).collect();
-    let mut out = Vec::new();
+/// Asserts the fused pair kernel answers, for both trees, exactly the
+/// bits the scalar descent gives per query — at every batch size from an
+/// empty batch and a lone query up through several full waves. Plans
+/// are prepared at the wider of the two trees' packed levels, exactly
+/// like the shard path. The plan and output buffers are reused across
+/// calls, so stale-result clearing is exercised too.
+fn assert_pair_matches_scalar(tag: &str, a: &FrozenTree, b: &FrozenTree, queries: &[Vec<f64>]) {
+    let scalar = |f: &FrozenTree| -> Vec<Option<u64>> {
+        queries.iter().map(|q| f.predict(q).unwrap().map(f64::to_bits)).collect()
+    };
+    let (a_scalar, b_scalar) = (scalar(a), scalar(b));
+    let levels = a.packed_levels().max(b.packed_levels());
     let mut plan = BatchPlan::new();
+    let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
     // Prefix lengths cover empty batches, partial waves, exact waves, and
     // multi-wave batches without quadratic work.
     for len in (0..queries.len().min(18)).chain([queries.len()]) {
         let slice = &queries[..len];
-        frozen.predict_batch_into(slice, &mut out).unwrap();
-        check_batch(tag, "predict_batch_into", frozen, slice, &scalar[..len], &out);
-        plan.prepare(&frozen.config().space, frozen.packed_levels(), slice).unwrap();
-        frozen.predict_planned_into(&plan, &mut out);
-        check_batch(tag, "predict_planned_into", frozen, slice, &scalar[..len], &out);
-    }
-}
-
-/// Asserts the fused two-tree pair kernel answers exactly what running
-/// the per-tree planned kernel on each tree separately answers, at batch
-/// prefixes covering partial and full waves. Plans are prepared at the
-/// wider of the two trees' packed levels, exactly like the shard path.
-fn assert_pair_matches_per_tree(tag: &str, a: &FrozenTree, b: &FrozenTree, queries: &[Vec<f64>]) {
-    let mut plan = BatchPlan::new();
-    let levels = a.packed_levels().max(b.packed_levels());
-    let (mut a_pair, mut b_pair) = (Vec::new(), Vec::new());
-    let (mut a_solo, mut b_solo) = (Vec::new(), Vec::new());
-    for len in (0..queries.len().min(18)).chain([queries.len()]) {
-        let slice = &queries[..len];
         plan.prepare(&a.config().space, levels, slice).unwrap();
-        FrozenTree::predict_planned_pair_into(a, b, &plan, &mut a_pair, &mut b_pair);
-        a.predict_planned_into(&plan, &mut a_solo);
-        b.predict_planned_into(&plan, &mut b_solo);
-        for (name, pair, solo) in [("a", &a_pair, &a_solo), ("b", &b_pair, &b_solo)] {
-            let pair_bits: Vec<Option<u64>> = pair.iter().map(|p| p.map(f64::to_bits)).collect();
-            let solo_bits: Vec<Option<u64>> = solo.iter().map(|p| p.map(f64::to_bits)).collect();
-            if pair_bits != solo_bits {
-                let diff = format!(
-                    "[{tag}] pair kernel diverges from per-tree kernel\n\
-                     tree: {name}, batch len {len}\npair: {pair:?}\nsolo: {solo:?}",
-                );
-                fail_with_diff(&format!("{tag}-pair"), &diff);
-            }
+        FrozenTree::predict_planned_pair_into(a, b, &plan, &mut a_out, &mut b_out);
+        for (name, f, want, got) in
+            [("a", a, &a_scalar[..len], &a_out), ("b", b, &b_scalar[..len], &b_out)]
+        {
+            check_batch(&format!("{tag}-{name}"), f, slice, want, got);
         }
     }
 }
 
 fn check_batch(
     tag: &str,
-    entry: &str,
     frozen: &FrozenTree,
     queries: &[Vec<f64>],
     scalar: &[Option<u64>],
@@ -147,7 +123,7 @@ fn check_batch(
         return;
     }
     let mut diff = format!(
-        "multi-lane vs scalar divergence: {tag} via {entry} (batch of {}, {} nodes)\n",
+        "fused pair vs scalar divergence: {tag} (batch of {}, {} nodes)\n",
         queries.len(),
         frozen.node_count()
     );
@@ -214,21 +190,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn multi_lane_matches_scalar_eager(
+    fn pair_matches_scalar_eager(
         data in arb_points(2),
         queries in arb_queries(2),
     ) {
+        // A lazy sibling over the same points with other values, budget
+        // and β drifts in shape, so lanes retire at different depths in
+        // the two trees.
         let mut live = tree(2, 1 << 20, InsertionStrategy::Eager, 2);
+        let mut sibling = tree(2, 1 << 16, InsertionStrategy::Lazy { alpha: 0.05 }, 3);
         for (p, v) in &data {
             live.insert(p, *v).unwrap();
+            sibling.insert(p, v / 8.0).unwrap();
         }
         let all: Vec<Vec<f64>> =
             queries.iter().chain(data.iter().map(|(p, _)| p)).cloned().collect();
-        assert_batch_matches_scalar("proptest-eager", &live.freeze(), &all);
+        assert_pair_matches_scalar("proptest-eager", &live.freeze(), &sibling.freeze(), &all);
     }
 
     #[test]
-    fn multi_lane_matches_scalar_lazy_under_compression(
+    fn pair_matches_scalar_lazy_under_compression(
         data in arb_points(2),
         queries in arb_queries(2),
     ) {
@@ -238,7 +219,8 @@ proptest! {
         for (p, v) in &data {
             live.insert(p, *v).unwrap();
         }
-        assert_batch_matches_scalar("proptest-lazy-compressed", &live.freeze(), &queries);
+        let frozen = live.freeze();
+        assert_pair_matches_scalar("proptest-lazy-compressed", &frozen, &frozen, &queries);
     }
 
     #[test]
@@ -263,7 +245,7 @@ proptest! {
             }
             let patched = live.refreeze(&prev);
             assert_bit_identical("proptest-cow", &live.freeze(), &patched);
-            assert_batch_matches_scalar("proptest-cow-batch", &patched, &queries);
+            assert_pair_matches_scalar("proptest-cow-batch", &patched, &prev, &queries);
             prev = patched;
         }
     }
@@ -273,11 +255,13 @@ proptest! {
 /// two trees over the same space whose values and structure diverge
 /// (different values drive different `th_SSE` split decisions, different
 /// β changes descent termination). The fused pair kernel must equal the
-/// per-tree kernels exactly, including when one side is empty or wide.
+/// scalar descent on each tree exactly, including when one side is
+/// empty, both sides are the same tree, or the masks are wide.
 #[test]
-fn pair_kernel_matches_per_tree_kernels() {
+fn pair_kernel_matches_scalar_per_tree() {
     let seed = harness_seed();
-    for dims in [2usize, 4] {
+    // d = 6 is the widest space whose fanout still fits the inline mask.
+    for dims in [1usize, 2, 3, 4, 6] {
         let tag = format!("pair-seed-{seed}-d{dims}");
         let mut rng = SplitMix64(seed ^ 0x9A12 ^ ((dims as u64) << 16));
         let mut cpu = tree(dims, 1 << 20, InsertionStrategy::Eager, 2);
@@ -290,11 +274,15 @@ fn pair_kernel_matches_per_tree_kernels() {
             io.insert(&p, rng.next_f64()).unwrap();
         }
         let queries: Vec<Vec<f64>> = (0..60).map(|_| rng.point(dims)).collect();
-        assert_pair_matches_per_tree(&tag, &cpu.freeze(), &io.freeze(), &queries);
+        let (cpu, io) = (cpu.freeze(), io.freeze());
+        assert_pair_matches_scalar(&tag, &cpu, &io, &queries);
+        assert_pair_matches_scalar(&format!("{tag}-same"), &cpu, &cpu, &queries);
 
-        // One empty side exercises the kernel's fallback arm.
+        // Exactly one empty side takes the kernel's scalar fallback, in
+        // either position.
         let empty = tree(dims, 1 << 16, InsertionStrategy::Eager, 2).freeze();
-        assert_pair_matches_per_tree(&format!("{tag}-empty"), &cpu.freeze(), &empty, &queries);
+        assert_pair_matches_scalar(&format!("{tag}-empty-b"), &cpu, &empty, &queries);
+        assert_pair_matches_scalar(&format!("{tag}-empty-a"), &empty, &io, &queries);
     }
 
     // Wide fanout (d = 7) exceeds the inline mask; the pair kernel must
@@ -308,11 +296,11 @@ fn pair_kernel_matches_per_tree_kernels() {
         b.insert(&p, rng.next_f64() * 1000.0).unwrap();
     }
     let queries: Vec<Vec<f64>> = (0..40).map(|_| rng.point(7)).collect();
-    assert_pair_matches_per_tree("pair-wide", &a.freeze(), &b.freeze(), &queries);
+    assert_pair_matches_scalar("pair-wide", &a.freeze(), &b.freeze(), &queries);
 }
 
 /// Fanout 128 (d = 7) exceeds one 64-bit inline mask, so the frozen tree
-/// takes the wide-mask slab path and the batch kernel falls back to
+/// takes the wide-mask slab path and the pair kernel falls back to
 /// scalar descent per query — which still must match exactly.
 #[test]
 fn wide_fanout_batches_match_scalar() {
@@ -323,12 +311,14 @@ fn wide_fanout_batches_match_scalar() {
         live.insert(&p, (rng.next_u64() % 1000) as f64).unwrap();
     }
     let queries: Vec<Vec<f64>> = (0..50).map(|_| rng.point(7)).collect();
-    assert_batch_matches_scalar("wide-fanout", &live.freeze(), &queries);
+    let frozen = live.freeze();
+    assert_pair_matches_scalar("wide-fanout", &frozen, &frozen, &queries);
 }
 
 /// The seeded sweep CI loops over: a feedback stream driven through
 /// freeze → observe → republish rounds, with the CoW snapshot chain and
-/// the batched kernel checked against scalar ground truth every round.
+/// the pair kernel (each snapshot paired with its predecessor) checked
+/// against scalar ground truth every round.
 #[test]
 fn seeded_stream_stays_equivalent_across_republications() {
     let seed = harness_seed();
@@ -362,7 +352,12 @@ fn seeded_stream_stays_equivalent_across_republications() {
                     .map(|_| rng.point(dims))
                     .chain(inserted.iter().rev().take(20).cloned())
                     .collect();
-                assert_batch_matches_scalar(&tag, &frozen, &queries);
+                assert_pair_matches_scalar(
+                    &tag,
+                    &frozen,
+                    prev.as_ref().unwrap_or(&frozen),
+                    &queries,
+                );
                 prev = Some(frozen);
             }
         }

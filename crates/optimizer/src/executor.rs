@@ -138,64 +138,6 @@ impl<E: Estimator> FeedbackExecutor<E> {
     /// Panics when a row has the wrong number of points or a fixed order
     /// is not a permutation.
     pub fn run(&mut self, rows: &[Vec<Vec<f64>>], policy: &OrderingPolicy) -> ExecutionReport {
-        self.run_inner(rows, policy, None)
-    }
-
-    /// [`Self::run`], but all cost predictions are prefetched up front
-    /// with one [`Estimator::predict_batch`] call per predicate before
-    /// any row executes.
-    ///
-    /// Against a serving backend this turns `rows × predicates` snapshot
-    /// loads into `predicates` batched calls. The trade-off is staleness:
-    /// ranks reflect the models *as of the prefetch*, so feedback applied
-    /// during this batch does not influence its own ordering (it still
-    /// trains the models for the next batch). For cost-ordering that is
-    /// exactly the snapshot-isolation semantics the serving layer already
-    /// provides between publications.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::run`] on malformed rows or a bad fixed order.
-    pub fn run_prefetched(
-        &mut self,
-        rows: &[Vec<Vec<f64>>],
-        policy: &OrderingPolicy,
-    ) -> ExecutionReport {
-        let n = self.predicates.len();
-        let needs_costs =
-            matches!(policy, OrderingPolicy::EstimatedRank | OrderingPolicy::LocalSelectivityRank);
-        let prefetched: Option<Vec<Vec<Option<f64>>>> = needs_costs.then(|| {
-            // One reusable point buffer serves every predicate: the inner
-            // `Vec`s keep their capacity across iterations, so after the
-            // first predicate the gather loop allocates nothing.
-            let mut points: Vec<Vec<f64>> = Vec::new();
-            points.resize_with(rows.len(), Vec::new);
-            (0..n)
-                .map(|i| {
-                    for (slot, row) in points.iter_mut().zip(rows) {
-                        assert_eq!(row.len(), n, "one model point per predicate");
-                        slot.clear();
-                        slot.extend_from_slice(&row[i]);
-                    }
-                    let mut costs = Vec::with_capacity(rows.len());
-                    self.estimators[i]
-                        .predict_batch_into(&points, &mut costs)
-                        .expect("row points are well-formed");
-                    costs
-                })
-                .collect()
-        });
-        self.run_inner(rows, policy, prefetched.as_deref())
-    }
-
-    /// Shared execution loop; `prefetched[i][r]` (when supplied) replaces
-    /// the per-row `predict` call for predicate `i` on row `r`.
-    fn run_inner(
-        &mut self,
-        rows: &[Vec<Vec<f64>>],
-        policy: &OrderingPolicy,
-        prefetched: Option<&[Vec<Option<f64>>]>,
-    ) -> ExecutionReport {
         let n = self.predicates.len();
         if let OrderingPolicy::Fixed(order) = policy {
             let mut sorted = order.clone();
@@ -204,16 +146,13 @@ impl<E: Estimator> FeedbackExecutor<E> {
         }
         let mut report = ExecutionReport { rows: rows.len(), ..Default::default() };
         let mut order: Vec<usize> = (0..n).collect();
-        for (r, row) in rows.iter().enumerate() {
+        for row in rows {
             assert_eq!(row.len(), n, "one model point per predicate");
             let predicted = |i: usize| -> f64 {
-                match prefetched {
-                    Some(batch) => batch[i][r],
-                    None => {
-                        self.estimators[i].predict(&row[i]).expect("row points are well-formed")
-                    }
-                }
-                .unwrap_or(1.0)
+                self.estimators[i]
+                    .predict(&row[i])
+                    .expect("row points are well-formed")
+                    .unwrap_or(1.0)
             };
             match policy {
                 OrderingPolicy::Fixed(fixed) => order.copy_from_slice(fixed),
@@ -458,48 +397,6 @@ mod tests {
             local_cost < global_cost,
             "regional selectivity must pay: local {local_cost} vs global {global_cost}"
         );
-    }
-
-    #[test]
-    fn prefetched_run_matches_per_call_run_with_feedback_off() {
-        // With feedback off the models never move during the batch, so
-        // publication-time predictions equal per-row predictions and both
-        // paths must choose identical orders.
-        let (mut a, rows) = setup();
-        a.set_feedback(false);
-        let per_call = a.run(&rows, &OrderingPolicy::EstimatedRank);
-        let (mut b, rows) = setup();
-        b.set_feedback(false);
-        let prefetched = b.run_prefetched(&rows, &OrderingPolicy::EstimatedRank);
-        assert_eq!(per_call, prefetched);
-    }
-
-    #[test]
-    fn prefetched_run_supports_every_policy() {
-        for policy in [
-            OrderingPolicy::Fixed(vec![1, 2, 0]),
-            OrderingPolicy::EstimatedRank,
-            OrderingPolicy::LocalSelectivityRank,
-            OrderingPolicy::OracleRank,
-        ] {
-            let (mut a, rows) = setup();
-            let r = a.run_prefetched(&rows, &policy);
-            assert_eq!(r.rows, rows.len());
-            assert!(r.evaluations > 0);
-            // Conjunction results never depend on the ordering machinery.
-            let (mut b, rows) = setup();
-            let rb = b.run(&rows, &policy);
-            assert_eq!(r.qualified, rb.qualified, "policy {policy:?}");
-        }
-    }
-
-    #[test]
-    fn prefetched_run_still_trains_models() {
-        let (mut exec, rows) = setup();
-        assert_eq!(exec.estimator(0).predict(&rows[0][0]).unwrap(), None);
-        exec.run_prefetched(&rows, &OrderingPolicy::EstimatedRank);
-        // Feedback flowed: the estimator is no longer uninformed.
-        assert!(exec.estimator(0).predict(&rows[0][0]).unwrap().is_some());
     }
 
     #[test]

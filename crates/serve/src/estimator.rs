@@ -48,8 +48,8 @@ use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -689,6 +689,53 @@ struct FleetCore {
     obs: FleetObs,
 }
 
+/// Observations fully applied and republished, with a condition variable
+/// a flush under [`MaintainerMode::Background`] sleeps on until the
+/// maintainer makes progress instead of polling. The maintainer signals
+/// only while a flush waits, so its batches take no lock and make no
+/// wake-up call otherwise.
+#[derive(Default)]
+struct Progress {
+    processed: AtomicU64,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    advanced: Condvar,
+}
+
+impl Progress {
+    fn get(&self) -> u64 {
+        // Sequentially consistent, like `waiters`: see `add`.
+        self.processed.load(Ordering::SeqCst)
+    }
+
+    /// Adds `n` and wakes every waiter.
+    fn add(&self, n: u64) {
+        self.processed.fetch_add(n, Ordering::SeqCst);
+        // A waiter registers before it re-checks the total, both in one
+        // sequentially consistent order: either it sees the new total or
+        // this load sees it waiting.
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Passing through the lock orders this signal after a
+            // waiter's re-check under it, so the waiter is already asleep
+            // (and woken) or sees the new total.
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.advanced.notify_all();
+        }
+    }
+
+    /// Sleeps until the next advance unless `done` already holds. The
+    /// wait is bounded, so progress nobody signals (a lossy queue
+    /// evicting observations) costs one timeout rather than a hang.
+    fn wait_unless(&self, done: impl Fn() -> bool) {
+        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        if !done() {
+            let _ = self.advanced.wait_timeout(guard, Duration::from_millis(5));
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Everything one apply → republish → arbitrate step needs. Lives behind
 /// the estimator's one maintainer lock in both [`MaintainerMode`]s; the
 /// mode decides only whether a background thread or
@@ -699,7 +746,7 @@ struct MaintainerCore {
     last_publish: Vec<Instant>,
     io_weight: f64,
     batch_max: usize,
-    processed: Arc<AtomicU64>,
+    processed: Arc<Progress>,
     obs: MaintainerObs,
     trace: Option<Arc<TraceRing>>,
     durability: Option<DurabilityCore>,
@@ -761,9 +808,12 @@ impl MaintainerCore {
         }
         self.obs.batch_nanos.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         // Republish-then-count: once `processed` covers an observation,
-        // its effect is visible to readers (the flush contract).
-        let total = self.processed.fetch_add(n as u64, Ordering::Release) + n as u64;
-        self.obs.processed_total.record_total(total);
+        // its effect is visible to readers (the flush contract), and so
+        // is its `mlq_serve_processed` count. Batches apply only under
+        // the maintainer lock, so nothing else moves the total between
+        // these two lines.
+        self.obs.processed_total.record_total(self.processed.get() + n as u64);
+        self.processed.add(n as u64);
         n
     }
 
@@ -1326,7 +1376,7 @@ impl ConcurrentEstimatorBuilder {
         );
         let queue =
             Arc::new(FeedbackQueue::new(config.queue_capacity, QueueMetrics::new(&registry)));
-        let processed = Arc::new(AtomicU64::new(0));
+        let processed = Arc::new(Progress::default());
 
         let shard_count = shards.len();
         let fleet_core = config.fleet.map(|fleet| FleetCore {
@@ -1404,12 +1454,12 @@ pub struct ConcurrentEstimator {
     names: BTreeMap<String, usize>,
     published: Arc<Vec<RwLock<Arc<ShardSnapshot>>>>,
     /// Per-shard `mlq_serve_reads{udf=...}` counters: predictions served
-    /// from published snapshots. Bumped once per call on the single-point
-    /// path and once per *batch* on the batched path.
+    /// from published snapshots, one per point. Only [`Self::predict_at`]
+    /// and [`Self::predict_batch_into_at`] bump them.
     reads: Vec<Counter>,
     queue: Arc<FeedbackQueue>,
     /// Observations fully applied and republished by the maintainer.
-    processed: Arc<AtomicU64>,
+    processed: Arc<Progress>,
     backpressure: BackpressurePolicy,
     registry: Arc<Registry>,
     mode: MaintainerMode,
@@ -1528,8 +1578,9 @@ impl ConcurrentEstimator {
     /// [`Self::snapshot_at`], waking the shard first if fleet arbitration
     /// hibernated it: the calling thread restores it under the maintainer
     /// lock. Callers must bump the shard's read counter *before* calling:
-    /// the wake itself is the traffic signal that keeps the restored
-    /// shard from being counted cold again next round.
+    /// the read count is the traffic signal that keeps the restored
+    /// shard from being counted cold again next round. The two read
+    /// entries below are the only callers.
     fn live_snapshot_at(&self, shard: usize) -> Arc<ShardSnapshot> {
         let snap = self.snapshot_at(shard);
         if !snap.is_hibernated() {
@@ -1607,6 +1658,26 @@ impl ConcurrentEstimator {
         Ok(self.snapshot_at(self.shard_index(name)?))
     }
 
+    /// The one scalar shard read: counts the read, wakes the shard if it
+    /// is hibernated, and predicts from its live snapshot. Service and
+    /// handle reads both go through here.
+    pub(crate) fn predict_at(&self, shard: usize, point: &[f64]) -> Result<Option<f64>, MlqError> {
+        self.reads[shard].inc();
+        self.live_snapshot_at(shard).predict(point)
+    }
+
+    /// The one batched shard read: [`Self::predict_at`] for every point,
+    /// with one snapshot load and one counter update for the whole batch.
+    pub(crate) fn predict_batch_into_at<P: AsRef<[f64]>>(
+        &self,
+        shard: usize,
+        points: &[P],
+        out: &mut Vec<Option<f64>>,
+    ) -> Result<(), MlqError> {
+        self.reads[shard].add(points.len() as u64);
+        self.live_snapshot_at(shard).predict_batch_into(points, out)
+    }
+
     /// Predicted combined cost for `name` at `point` from the current
     /// snapshot.
     ///
@@ -1615,20 +1686,7 @@ impl ConcurrentEstimator {
     /// [`MlqError::InvalidConfig`] for unknown names; propagates
     /// malformed-point errors.
     pub fn predict(&self, name: &str, point: &[f64]) -> Result<Option<f64>, MlqError> {
-        let shard = self.shard_index(name)?;
-        self.reads[shard].inc();
-        self.live_snapshot_at(shard).predict(point)
-    }
-
-    pub(crate) fn predict_batch_at<P: AsRef<[f64]>>(
-        &self,
-        shard: usize,
-        points: &[P],
-    ) -> Result<Vec<Option<f64>>, MlqError> {
-        // One Arc load and one metrics update cover the whole batch —
-        // the per-call overhead the single-point path pays per prediction.
-        self.reads[shard].add(points.len() as u64);
-        self.live_snapshot_at(shard).predict_batch(points)
+        self.predict_at(self.shard_index(name)?, point)
     }
 
     /// Predicted combined costs for `name` at every point in `points`,
@@ -1646,17 +1704,9 @@ impl ConcurrentEstimator {
         name: &str,
         points: &[P],
     ) -> Result<Vec<Option<f64>>, MlqError> {
-        self.predict_batch_at(self.shard_index(name)?, points)
-    }
-
-    pub(crate) fn predict_batch_into_at<P: AsRef<[f64]>>(
-        &self,
-        shard: usize,
-        points: &[P],
-        out: &mut Vec<Option<f64>>,
-    ) -> Result<(), MlqError> {
-        self.reads[shard].add(points.len() as u64);
-        self.live_snapshot_at(shard).predict_batch_into(points, out)
+        let mut out = Vec::with_capacity(points.len());
+        self.predict_batch_into(name, points, &mut out)?;
+        Ok(out)
     }
 
     /// [`Self::predict_batch`] into a caller-owned buffer (cleared first;
@@ -1741,7 +1791,7 @@ impl ConcurrentEstimator {
         // grows, so this order can only overstate the lag. The reverse
         // order raced with concurrent maintenance — an observation
         // admitted and applied between the reads underflowed.
-        let processed = self.processed.load(Ordering::Acquire);
+        let processed = self.processed.get();
         let queue = self.queue.counters();
         queue.enqueued.saturating_sub(queue.dropped_oldest).saturating_sub(processed)
     }
@@ -1858,11 +1908,13 @@ impl ConcurrentEstimator {
     /// count as settled: they were admitted but will never be applied.
     pub fn flush(&self) {
         let target = self.queue.counters().enqueued;
-        let settled =
-            || self.processed.load(Ordering::Acquire) + self.queue.counters().dropped_oldest;
-        while settled() < target {
-            if self.step(usize::MAX).is_err() {
-                thread::sleep(Duration::from_millis(1));
+        let settled = || self.processed.get() + self.queue.counters().dropped_oldest >= target;
+        while !settled() {
+            // Under Background (or once a Manual service has shut down)
+            // someone else applies: sleep until they report progress.
+            let stepped = self.mode == MaintainerMode::Manual && self.step(usize::MAX).is_ok();
+            if !stepped {
+                self.processed.wait_unless(settled);
             }
         }
     }

@@ -39,7 +39,13 @@ impl ConcurrentEstimator {
 }
 
 impl EstimatorHandle {
-    /// The current published snapshot for this handle's UDF.
+    /// The current published snapshot for this handle's UDF, as
+    /// published: it is not counted as a read and does not wake the
+    /// shard, so under a [`FleetConfig`](crate::FleetConfig) it can be
+    /// a hibernated shard's stand-in (see
+    /// [`ShardSnapshot::is_hibernated`]). Predictions should go through
+    /// the handle's [`Estimator`] methods, which count and wake like the
+    /// service's own reads.
     #[must_use]
     pub fn snapshot(&self) -> Arc<ShardSnapshot> {
         self.service.snapshot_at(self.shard)
@@ -69,12 +75,13 @@ impl EstimatorHandle {
 
 impl Estimator for EstimatorHandle {
     fn predict(&self, point: &[f64]) -> Result<Option<f64>, MlqError> {
-        self.snapshot().predict(point)
+        self.service.predict_at(self.shard, point)
     }
 
     fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Option<f64>>, MlqError> {
-        // One snapshot load and one metrics update for the whole batch.
-        self.service.predict_batch_at(self.shard, points)
+        let mut out = Vec::with_capacity(points.len());
+        self.predict_batch_into(points, &mut out)?;
+        Ok(out)
     }
 
     fn predict_batch_into(
@@ -82,8 +89,8 @@ impl Estimator for EstimatorHandle {
         points: &[Vec<f64>],
         out: &mut Vec<Option<f64>>,
     ) -> Result<(), MlqError> {
-        // The true buffer-reusing path: the caller's output buffer plus
-        // the service's per-thread descent scratch, no per-call `Vec`s.
+        // The caller's output buffer plus the service's per-thread
+        // descent scratch: no per-call `Vec`s.
         self.service.predict_batch_into_at(self.shard, points, out)
     }
 

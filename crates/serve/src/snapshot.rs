@@ -55,50 +55,20 @@ impl ComponentSnapshot {
     /// Propagates malformed-point errors.
     pub fn predict(&self, point: &[f64]) -> Result<Option<f64>, MlqError> {
         // The tree walk also validates and clamps the point, exactly like
-        // the live prediction path.
-        let learned = self.tree.predict(point)?;
-        if self.healthy {
-            if let Some(v) = learned {
-                return Ok(Some(v));
-            }
-        }
-        Ok(self.fallback)
+        // the live prediction path, even when an open breaker discards
+        // its answer.
+        Ok(self.guarded(self.tree.predict(point)?))
     }
 
-    /// Batched [`Self::predict`]: one result per point, appended to
-    /// `out` (cleared first). The whole batch runs against the packed
-    /// tree in one pass; the healthy/fallback policy is applied as a
-    /// fix-up afterwards so the descent loop stays branch-light.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first malformed point; `out` is left empty then.
-    pub fn predict_batch_into<P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-        out: &mut Vec<Option<f64>>,
-    ) -> Result<(), MlqError> {
-        self.tree.predict_batch_into(points, out)?;
-        self.apply_policy(out);
-        Ok(())
-    }
-
-    /// The guarded read policy over a batch of raw tree answers: healthy
-    /// components fall back only where the tree was uninformed, an open
+    /// The guarded read policy over one raw tree answer: a healthy
+    /// component falls back only where the tree was uninformed, an open
     /// breaker routes every query to the running average.
-    fn apply_policy(&self, out: &mut [Option<f64>]) {
+    #[inline]
+    fn guarded(&self, raw: Option<f64>) -> Option<f64> {
         if self.healthy {
-            if self.fallback.is_some() {
-                for slot in out.iter_mut() {
-                    if slot.is_none() {
-                        *slot = self.fallback;
-                    }
-                }
-            }
+            raw.or(self.fallback)
         } else {
-            // Open breaker: the running average covers every query, but
-            // the tree pass already validated/clamped the points.
-            out.iter_mut().for_each(|slot| *slot = self.fallback);
+            self.fallback
         }
     }
 
@@ -212,12 +182,19 @@ impl ShardSnapshot {
     ///
     /// Propagates malformed-point errors.
     pub fn predict(&self, point: &[f64]) -> Result<Option<f64>, MlqError> {
-        let cpu = self.cpu.predict(point)?;
-        let io = self.io.predict(point)?;
-        Ok(match (cpu, io) {
+        Ok(self.answer(self.cpu.tree.predict(point)?, self.io.tree.predict(point)?))
+    }
+
+    /// One query's answer from its raw CPU and IO tree answers: each
+    /// component's guarded read policy, then CPU + `io_weight` × IO.
+    /// Both read paths end here, so single and batched predictions agree
+    /// bit for bit.
+    #[inline]
+    fn answer(&self, cpu_raw: Option<f64>, io_raw: Option<f64>) -> Option<f64> {
+        match (self.cpu.guarded(cpu_raw), self.io.guarded(io_raw)) {
             (None, None) => None,
             (c, i) => Some(c.unwrap_or(0.0) + self.io_weight * i.unwrap_or(0.0)),
-        })
+        }
     }
 
     /// Batched [`Self::predict`]: every point is validated and quantized
@@ -272,19 +249,7 @@ impl ShardSnapshot {
                 cpu_out,
                 io_out,
             );
-            // Guarded read policy and CPU + weight × IO combination in a
-            // single pass (same per-component semantics as
-            // `apply_policy`, fused so the batch is touched once).
-            let (cpu_healthy, cpu_fb) = (self.cpu.healthy, self.cpu.fallback);
-            let (io_healthy, io_fb) = (self.io.healthy, self.io.fallback);
-            out.extend(cpu_out.iter().zip(io_out.iter()).map(|(&cpu_raw, &io_raw)| {
-                let cpu = if cpu_healthy { cpu_raw.or(cpu_fb) } else { cpu_fb };
-                let io = if io_healthy { io_raw.or(io_fb) } else { io_fb };
-                match (cpu, io) {
-                    (None, None) => None,
-                    (c, i) => Some(c.unwrap_or(0.0) + self.io_weight * i.unwrap_or(0.0)),
-                }
-            }));
+            out.extend(cpu_out.iter().zip(io_out.iter()).map(|(&c, &i)| self.answer(c, i)));
             Ok(())
         })
     }

@@ -17,7 +17,7 @@ use mlq_serve::{
 use mlq_udfs::ExecutionCost;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED_MATRIX: [u64; 4] = [0x5EED, 0xBEEF, 0xC0FFEE, 1];
 
@@ -294,6 +294,43 @@ fn flush_settles_under_sample() {
     assert_flush_settles(BackpressurePolicy::Sample { keep_one_in: 2 });
 }
 
+/// Under the background maintainer a flush sleeps until the maintainer
+/// reports progress, so an observe → flush round trip costs about one
+/// apply-and-republish, not a polling interval. The round trips run on
+/// their own thread behind a deadline, so a lost wake-up fails here
+/// instead of hanging the suite.
+#[test]
+fn background_flush_waits_on_progress_not_a_poll() {
+    const ROUND_TRIPS: usize = 300;
+    let svc = Arc::new(service(ServeConfig::default(), &["F"]));
+    let (done, finished) = mpsc::channel();
+    let driver = Arc::clone(&svc);
+    let handle = thread::spawn(move || {
+        let mut latencies: Vec<Duration> = (0..ROUND_TRIPS)
+            .map(|i| {
+                let x = (i % 100) as f64;
+                driver.observe("F", &[x, 100.0 - x], cost(3.0)).expect("observe");
+                let start = Instant::now();
+                driver.flush();
+                start.elapsed()
+            })
+            .collect();
+        latencies.sort_unstable();
+        let _ = done.send(latencies[ROUND_TRIPS / 2]);
+    });
+    let median = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("background flush round trips did not finish");
+    handle.join().expect("flush thread panicked");
+    assert!(
+        median < Duration::from_micros(500),
+        "median background flush took {median:?}; a flush must wait on progress, not poll"
+    );
+    assert_eq!(svc.feedback_lag(), 0);
+    let m = svc.metrics();
+    assert_eq!(m.counter("mlq_serve_processed"), Some(ROUND_TRIPS as u64));
+}
+
 #[test]
 fn step_is_refused_under_background_mode() {
     let svc = service(ServeConfig::default(), &["F"]);
@@ -389,4 +426,9 @@ fn open_breaker_batches_fall_back_like_single_predictions() {
     for (q, b) in queries.iter().zip(&batch) {
         assert_eq!(*b, handle.predict(q).expect("single"), "point {q:?}");
     }
+
+    // Handle reads count exactly like service reads: one batch of 20
+    // plus 20 singles = 40.
+    let reads = svc.metrics().counter("mlq_serve_reads{udf=\"G\"}");
+    assert_eq!(reads, Some(2 * queries.len() as u64));
 }

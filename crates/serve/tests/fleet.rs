@@ -319,6 +319,61 @@ fn background_maintainer_hibernates_and_wakes_bit_identically() {
     twin.shutdown();
 }
 
+/// Regression: a shard read only through an [`EstimatorHandle`] is
+/// traffic like any other. Every handle read counts toward arbitration
+/// and wakes a hibernated shard, so a shard read once per round never
+/// goes cold, and the handle answers exactly what the service answers —
+/// never the hibernated stand-in's running-average fallback.
+///
+/// [`EstimatorHandle`]: mlq_serve::EstimatorHandle
+#[test]
+fn handle_reads_count_as_traffic_and_wake_hibernated_shards() {
+    use mlq_optimizer::Estimator as _;
+
+    let names = model_names(1);
+    let svc = Arc::new(build(
+        &names,
+        serve_config(Some(FleetConfig { global_budget: 1 << 30, hibernate_after: 2 }), 1 << 20),
+    ));
+    // Two cost regimes, so the tree's answer at a probe differs from the
+    // guard's running average a stand-in would fall back to.
+    let mut rng = SplitMix64(harness_seed() ^ 0x4A7D);
+    for i in 0..200 {
+        let (base, cpu) = if i % 2 == 0 { (0.0, 100.0) } else { (500.0, 1000.0) };
+        let point = [base + rng.next_f64() * 400.0, base + rng.next_f64() * 400.0];
+        svc.observe("M0", &point, ExecutionCost { cpu, io: 16.0, results: 1 }).unwrap();
+    }
+    svc.flush();
+
+    let handle = svc.handle("M0").unwrap();
+    let probe = [700.0, 700.0];
+    const ROUNDS: u64 = 10;
+    for _ in 0..ROUNDS {
+        handle.predict(&probe).unwrap();
+        svc.step(64).unwrap();
+    }
+    assert_eq!(
+        svc.metrics().counter(r#"mlq_serve_reads{udf="M0"}"#),
+        Some(ROUNDS),
+        "every handle read must count as traffic"
+    );
+    assert!(!svc.is_hibernated("M0").unwrap(), "a shard read every round must stay live");
+
+    // Starved of reads, the shard hibernates; the next handle read wakes
+    // it and answers from the real model.
+    let mut rounds = 0;
+    while !svc.is_hibernated("M0").unwrap() {
+        svc.step(64).unwrap();
+        rounds += 1;
+        assert!(rounds < 50, "M0 never hibernated after {rounds} idle rounds");
+    }
+    let via_handle = handle.predict(&probe).unwrap().map(f64::to_bits);
+    assert!(!svc.is_hibernated("M0").unwrap(), "a handle read must wake the shard");
+    let via_service = svc.predict("M0", &probe).unwrap().map(f64::to_bits);
+    assert_eq!(via_handle, via_service, "handle and service must answer alike");
+    svc.shutdown();
+}
+
 /// Property 3: under a seeded 90/10 skew, the fleet-arbitrated hot model
 /// is at least as accurate as dedicated-budget operation with the same
 /// total memory, and the cold models shrink to hibernation envelopes.
