@@ -627,17 +627,6 @@ impl FrozenTree {
         Some(best)
     }
 
-    /// Scalar single-query descent. Extracts child slots on demand
-    /// rather than packing a descent word first: a single query visits
-    /// each level at most once, so precomputing all `packed_levels`
-    /// slots up front is pure overhead (measurably so — ~25% of the
-    /// single-call budget on shallow trees). Descent words pay off only
-    /// when a [`BatchPlan`] amortizes the packing across every tree
-    /// descended from the same plan.
-    fn predict_grid(&self, grid: &GridPoint, beta: u64) -> Option<f64> {
-        self.descend(grid, 0, 0, beta)
-    }
-
     /// Predicts the cost at `point` with the configured `β` — the frozen
     /// equivalent of [`MemoryLimitedQuadtree::predict`]. Out-of-range
     /// coordinates clamp onto the space boundary, like the live tree.
@@ -657,7 +646,25 @@ impl FrozenTree {
     /// Same as [`Self::predict`].
     pub fn predict_with_beta(&self, point: &[f64], beta: u64) -> Result<Option<f64>, MlqError> {
         let grid = self.config.space.grid_point(point)?;
-        Ok(self.predict_grid(&grid, beta))
+        Ok(self.descend(&grid, 0, 0, beta))
+    }
+
+    /// [`Self::predict`] from a point already quantized by
+    /// [`Space::grid_point`] over this tree's space, so trees sharing a
+    /// space (a shard's CPU and IO components) quantize a query once.
+    /// Bit-identical to [`Self::predict`] on the point `grid` came from.
+    ///
+    /// The single-query descent extracts child slots on demand rather
+    /// than packing a descent word first: one query visits each level at
+    /// most once, so precomputing all `packed_levels` slots up front is
+    /// pure overhead (measurably so — ~25% of the single-call budget on
+    /// shallow trees). Descent words pay off only when a [`BatchPlan`]
+    /// amortizes the packing across every tree descended from the same
+    /// plan.
+    #[must_use]
+    pub fn predict_grid(&self, grid: &GridPoint) -> Option<f64> {
+        debug_assert_eq!(grid.dims(), self.config.space.dims(), "grid from a different space");
+        self.descend(grid, 0, 0, self.config.beta)
     }
 
     /// Descends two trees over the same [`Space`] in one fused multi-lane

@@ -2,9 +2,9 @@
 //!
 //! A query optimizer keeps its statistics in the catalog so they survive
 //! restarts; a self-tuning cost model is only useful if what it learned
-//! does too. [`TreeSnapshot`] is a compact, serde-serializable image of a
-//! model — configuration plus the live nodes in depth-first order — that
-//! rebuilds into an identical tree.
+//! does too. [`TreeSnapshot`] is a compact image of a model —
+//! configuration plus the live nodes in depth-first order — that rebuilds
+//! into an identical tree.
 //!
 //! ## Envelope format
 //!
@@ -18,13 +18,44 @@
 //! 4       4     format version, little-endian u32
 //! 8       8     payload length, little-endian u64
 //! 16      4     CRC-32 (IEEE) over version ‖ length ‖ payload
-//! 20      n     payload: the JSON-serialized TreeSnapshot
+//! 20      n     payload (below)
 //! ```
 //!
 //! The checksum covers the version and length fields as well as the
 //! payload, so a flipped header bit cannot masquerade as a different
 //! (valid) version or length. Decoding never panics: every claim the
 //! header makes is validated against the actual byte count before use.
+//!
+//! ## Payload
+//!
+//! This build writes version 2: fixed little-endian binary records, with
+//! every `f64` stored as its IEEE-754 bit pattern so a round trip is bit
+//! exact. `d` is the space's dimension count and `n` the node count:
+//!
+//! ```text
+//! size   field
+//! 1      d, dimension count (1..=MAX_DIMS)
+//! 8·d    per-dimension lows (f64)
+//! 8·d    per-dimension highs (f64)
+//! 8      memory budget (u64)
+//! 1      strategy: 0 eager, 1 lazy
+//! 8      lazy α (f64; zero bits for eager)
+//! 8      β (u64)
+//! 8      γ (f64)
+//! 1      λ (u8)
+//! 1      had_compression: 0 or 1
+//! 4      n (u32)
+//! 31·n   node records in pre-order, parents before children:
+//!          sum (f64) ‖ sum_sq (f64) ‖ count (u64) ‖ depth (u8)
+//!          ‖ slot_in_parent (u16) ‖ parent index (u32, u32::MAX at the root)
+//! ```
+//!
+//! The decoder checks the node count against the remaining payload before
+//! it allocates anything and rejects trailing bytes; the configuration
+//! and the tree structure are then validated exactly as for any snapshot
+//! (see [`MemoryLimitedQuadtree::from_snapshot`]). Version 1 envelopes,
+//! whose payload is the JSON-serialized [`TreeSnapshot`], are still read
+//! but no longer written.
 //!
 //! [`MemoryLimitedQuadtree::save_to_file`] writes the envelope to a
 //! sibling temporary file and atomically renames it over the target, so
@@ -35,9 +66,10 @@
 //! reports what happened as a typed [`RestoreOutcome`] — falling back to
 //! a fresh model rather than failing the caller when the snapshot is bad.
 
-use crate::config::MlqConfig;
+use crate::config::{InsertionStrategy, MlqConfig};
 use crate::error::MlqError;
 use crate::node::NIL;
+use crate::space::{Space, MAX_DIMS};
 use crate::summary::Summary;
 use crate::tree::MemoryLimitedQuadtree;
 use serde::{Deserialize, Serialize};
@@ -55,7 +87,8 @@ struct SnapshotNode {
     parent: Option<u32>,
 }
 
-/// A serializable image of a [`MemoryLimitedQuadtree`].
+/// An image of a [`MemoryLimitedQuadtree`]: the binary envelope of the
+/// [module docs](self), or serde for embedding in a larger document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeSnapshot {
     config: MlqConfig,
@@ -179,33 +212,83 @@ impl MemoryLimitedQuadtree {
 /// Magic bytes opening every snapshot envelope.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MLQS";
 
-/// Envelope format version written by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Envelope format version written by this build: the binary payload of
+/// the [module docs](self).
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The JSON payload version, still read but no longer written.
+const SNAPSHOT_VERSION_JSON: u32 = 1;
 
 /// Envelope header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 
+/// Bytes per version-2 node record.
+const RECORD_LEN: usize = 8 + 8 + 8 + 1 + 2 + 4;
+
+/// The parent index a version-2 record stores for the root.
+const NO_PARENT: u32 = u32::MAX;
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over the
-/// concatenation of `chunks`, bytewise. Small and dependency-free;
-/// durable payloads here are a few KiB, so table generation tricks are
-/// not worth their complexity. Public so every durable byte format in
-/// the workspace (snapshot envelopes, the serving layer's feedback
-/// journal and checkpoint metadata) shares one checksum implementation.
+/// concatenation of `chunks`, table-driven eight bytes at a step. Public
+/// so every durable byte format in the workspace (snapshot envelopes, the
+/// serving layer's feedback journal and checkpoint metadata) shares one
+/// checksum implementation.
 #[must_use]
 pub fn crc32_ieee(chunks: &[&[u8]]) -> u32 {
     crc32(chunks)
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`), bytewise.
+/// Slicing-by-8 tables, computed at compile time. `CRC_TABLES[0][b]` is
+/// the bitwise register update for byte `b` (eight shift-and-xor steps);
+/// `CRC_TABLES[k][b]` is that update followed by `k` zero bytes, so one
+/// step folds eight input bytes with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`), slicing by 8.
 fn crc32(chunks: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
     let mut crc: u32 = !0;
     for chunk in chunks {
-        for &byte in *chunk {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let mut words = chunk.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][byte(lo, 0)]
+                ^ t[6][byte(lo, 8)]
+                ^ t[5][byte(lo, 16)]
+                ^ t[4][byte(lo, 24)]
+                ^ t[3][byte(hi, 0)]
+                ^ t[2][byte(hi, 8)]
+                ^ t[1][byte(hi, 16)]
+                ^ t[0][byte(hi, 24)];
+        }
+        for &b in words.remainder() {
+            crc = t[0][byte(crc ^ u32::from(b), 0)] ^ (crc >> 8);
         }
     }
     !crc
@@ -250,7 +333,8 @@ pub enum RestoreOutcome {
         model: MemoryLimitedQuadtree,
         /// Version found in the envelope.
         found: u32,
-        /// Version this build reads and writes.
+        /// Version this build writes ([`SNAPSHOT_VERSION`]); it also
+        /// reads the JSON version 1.
         supported: u32,
     },
 }
@@ -275,16 +359,108 @@ impl RestoreOutcome {
 
 impl TreeSnapshot {
     /// Serializes the snapshot into the versioned, checksummed envelope
-    /// documented at the [module level](self).
+    /// documented at the [module level](self), always in the current
+    /// [`SNAPSHOT_VERSION`].
     #[must_use]
     pub fn to_envelope(&self) -> Vec<u8> {
-        let payload = serde_json::to_string(self).expect("snapshot serialization is infallible");
-        seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload.as_bytes())
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload_len());
+        out.resize(HEADER_LEN, 0);
+        self.write_payload(&mut out);
+        debug_assert_eq!(out.len(), HEADER_LEN + self.payload_len());
+        seal_in_place(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, out)
+    }
+
+    /// Byte length of the version-2 payload, field by field.
+    fn payload_len(&self) -> usize {
+        let dims = self.config.space.dims();
+        let config = 1 + 16 * dims + 8 + 1 + 8 + 8 + 8 + 1;
+        config + 1 + 4 + RECORD_LEN * self.nodes.len()
+    }
+
+    /// Appends the version-2 payload to `out`.
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        let config = &self.config;
+        let space = &config.space;
+        let dims = u8::try_from(space.dims()).expect("dims bounded by MAX_DIMS");
+        out.push(dims);
+        for i in 0..space.dims() {
+            out.extend_from_slice(&space.low(i).to_bits().to_le_bytes());
+        }
+        for i in 0..space.dims() {
+            out.extend_from_slice(&space.high(i).to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&(config.memory_budget as u64).to_le_bytes());
+        let (tag, alpha) = match config.strategy {
+            InsertionStrategy::Eager => (0u8, 0u64),
+            InsertionStrategy::Lazy { alpha } => (1u8, alpha.to_bits()),
+        };
+        out.push(tag);
+        out.extend_from_slice(&alpha.to_le_bytes());
+        out.extend_from_slice(&config.beta.to_le_bytes());
+        out.extend_from_slice(&config.gamma.to_bits().to_le_bytes());
+        out.push(config.lambda);
+        out.push(u8::from(self.had_compression));
+        let count = u32::try_from(self.nodes.len()).expect("node count fits u32");
+        out.extend_from_slice(&count.to_le_bytes());
+        for node in &self.nodes {
+            out.extend_from_slice(&node.summary.sum.to_bits().to_le_bytes());
+            out.extend_from_slice(&node.summary.sum_sq.to_bits().to_le_bytes());
+            out.extend_from_slice(&node.summary.count.to_le_bytes());
+            out.push(node.depth);
+            out.extend_from_slice(&node.slot_in_parent.to_le_bytes());
+            out.extend_from_slice(&node.parent.unwrap_or(NO_PARENT).to_le_bytes());
+        }
+    }
+
+    /// Parses a version-2 payload. Checks every count against the bytes
+    /// that remain before reading or allocating; the configuration and
+    /// the tree structure are validated later, by
+    /// [`MemoryLimitedQuadtree::from_snapshot`], as for any snapshot.
+    fn read_payload(payload: &[u8]) -> Result<Self, String> {
+        let mut r = Reader(payload);
+        let dims = usize::from(r.u8("dimension count")?);
+        if dims == 0 || dims > MAX_DIMS {
+            return Err(format!("dimension count {dims} outside 1..={MAX_DIMS}"));
+        }
+        let mut bound = || r.u64("space bounds").map(f64::from_bits);
+        let lows = (0..dims).map(|_| bound()).collect::<Result<Vec<_>, _>>()?;
+        let highs = (0..dims).map(|_| bound()).collect::<Result<Vec<_>, _>>()?;
+        let space = Space::new(lows, highs).map_err(|e| format!("space: {e}"))?;
+        let memory_budget = usize::try_from(r.u64("memory budget")?)
+            .map_err(|_| "memory budget overflows usize".to_string())?;
+        let tag = r.u8("strategy")?;
+        let alpha = r.u64("alpha")?;
+        let strategy = match (tag, alpha) {
+            (0, 0) => InsertionStrategy::Eager,
+            (0, _) => return Err("eager strategy with a non-zero alpha".to_string()),
+            (1, bits) => InsertionStrategy::Lazy { alpha: f64::from_bits(bits) },
+            (tag, _) => return Err(format!("unknown strategy tag {tag}")),
+        };
+        let beta = r.u64("beta")?;
+        let gamma = f64::from_bits(r.u64("gamma")?);
+        let lambda = r.u8("lambda")?;
+        let had_compression = match r.u8("compression flag")? {
+            0 => false,
+            1 => true,
+            flag => return Err(format!("compression flag {flag} is neither 0 nor 1")),
+        };
+        let count = r.u32("node count")?;
+        let (records, partial) = r.0.as_chunks::<RECORD_LEN>();
+        if !partial.is_empty() || records.len() as u64 != u64::from(count) {
+            return Err(format!(
+                "{count} nodes need {} record bytes, found {}",
+                u64::from(count) * RECORD_LEN as u64,
+                r.0.len()
+            ));
+        }
+        let nodes = records.iter().map(read_record).collect();
+        let config = MlqConfig { space, memory_budget, strategy, beta, gamma, lambda };
+        Ok(TreeSnapshot { config, nodes, had_compression })
     }
 
     /// Decodes an envelope, verifying magic, version, length, and
-    /// checksum before touching the payload. Never panics, whatever the
-    /// bytes.
+    /// checksum before touching the payload. Reads version 2 and the
+    /// JSON version 1. Never panics, whatever the bytes.
     ///
     /// # Errors
     ///
@@ -297,10 +473,60 @@ impl TreeSnapshot {
             Err(DecodeFailure::Corrupt(reason)) => Err(MlqError::SnapshotCorrupt { reason }),
             Err(DecodeFailure::Version { found }) => Err(MlqError::SnapshotCorrupt {
                 reason: format!(
-                    "unsupported snapshot version {found} (this build reads {SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {found} (this build reads \
+                     {SNAPSHOT_VERSION_JSON} and {SNAPSHOT_VERSION})"
                 ),
             }),
         }
+    }
+}
+
+/// Decodes one version-2 node record.
+fn read_record(r: &[u8; RECORD_LEN]) -> SnapshotNode {
+    let parent = u32::from_le_bytes(field(r, 27));
+    SnapshotNode {
+        summary: Summary {
+            sum: f64::from_bits(u64::from_le_bytes(field(r, 0))),
+            count: u64::from_le_bytes(field(r, 16)),
+            sum_sq: f64::from_bits(u64::from_le_bytes(field(r, 8))),
+        },
+        depth: r[24],
+        slot_in_parent: u16::from_le_bytes(field(r, 25)),
+        parent: (parent != NO_PARENT).then_some(parent),
+    }
+}
+
+/// The `N` bytes at a fixed offset `at` of a record; every call site's
+/// `at + N` is within [`RECORD_LEN`].
+fn field<const N: usize>(r: &[u8; RECORD_LEN], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&r[at..at + N]);
+    out
+}
+
+/// A little-endian cursor over a payload; every read is length-checked.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self, field: &str) -> Result<[u8; N], String> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or_else(|| format!("payload truncated at {field}"))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self, field: &str) -> Result<u8, String> {
+        self.take::<1>(field).map(|[b]| b)
+    }
+
+    fn u32(&mut self, field: &str) -> Result<u32, String> {
+        self.take(field).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, field: &str) -> Result<u64, String> {
+        self.take(field).map(u64::from_le_bytes)
     }
 }
 
@@ -309,13 +535,17 @@ fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
         .map_err(|e| DecodeFailure::Corrupt(format!("envelope {e}")))?;
     // Checksum verified: a version difference is now a genuine format
     // difference, not a flipped bit.
-    if version != SNAPSHOT_VERSION {
-        return Err(DecodeFailure::Version { found: version });
+    match version {
+        SNAPSHOT_VERSION => TreeSnapshot::read_payload(payload)
+            .map_err(|e| DecodeFailure::Corrupt(format!("payload {e}"))),
+        SNAPSHOT_VERSION_JSON => {
+            let text = std::str::from_utf8(payload)
+                .map_err(|_| DecodeFailure::Corrupt("payload is not UTF-8".to_string()))?;
+            serde_json::from_str(text)
+                .map_err(|e| DecodeFailure::Corrupt(format!("payload does not parse: {e}")))
+        }
+        found => Err(DecodeFailure::Version { found }),
     }
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| DecodeFailure::Corrupt("payload is not UTF-8".to_string()))?;
-    serde_json::from_str(text)
-        .map_err(|e| DecodeFailure::Corrupt(format!("payload does not parse: {e}")))
 }
 
 /// Seals `payload` in the `magic ‖ version ‖ length ‖ CRC-32 ‖ payload`
@@ -329,16 +559,24 @@ fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
 /// the workspace fails loudly — never by restoring garbage.
 #[must_use]
 pub fn seal_frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let version_bytes = version.to_le_bytes();
-    let len = (payload.len() as u64).to_le_bytes();
-    let crc = crc32(&[&version_bytes, &len, payload]).to_le_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version_bytes);
-    out.extend_from_slice(&len);
-    out.extend_from_slice(&crc);
+    out.resize(HEADER_LEN, 0);
     out.extend_from_slice(payload);
-    out
+    seal_in_place(magic, version, out)
+}
+
+/// Fills in the header of `frame`, whose first [`HEADER_LEN`] bytes are
+/// reserved for it and whose remainder is the payload, so encoders can
+/// write a payload once, straight into its frame.
+fn seal_in_place(magic: [u8; 4], version: u32, mut frame: Vec<u8>) -> Vec<u8> {
+    let version_bytes = version.to_le_bytes();
+    let len = ((frame.len() - HEADER_LEN) as u64).to_le_bytes();
+    let crc = crc32(&[&version_bytes, &len, &frame[HEADER_LEN..]]).to_le_bytes();
+    frame[0..4].copy_from_slice(&magic);
+    frame[4..8].copy_from_slice(&version_bytes);
+    frame[8..16].copy_from_slice(&len);
+    frame[16..20].copy_from_slice(&crc);
+    frame
 }
 
 /// Opens a [`seal_frame`] envelope, validating magic, version, length,
@@ -577,18 +815,189 @@ mod tests {
         assert_eq!(crc32(&[b""]), 0);
     }
 
+    /// The bitwise reference the table is derived from: eight
+    /// shift-and-xor steps per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_reference() {
+        let bytes: Vec<u8> =
+            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in [0, 1, 2, 3, 7, 8, 9, 255, 256, 257, 4096] {
+            assert_eq!(crc32(&[&bytes[..len]]), crc32_bitwise(&bytes[..len]), "length {len}");
+        }
+        // Every byte value in every lane of an eight-byte step reaches
+        // every entry of all eight tables.
+        for b in 0..=255u8 {
+            for lane in 0..8 {
+                let mut word = [0x5Au8; 8];
+                word[lane] = b;
+                assert_eq!(crc32(&[&word]), crc32_bitwise(&word), "byte {b:#04x} lane {lane}");
+            }
+        }
+        // Chunk boundaries that split eight-byte steps change nothing.
+        let whole = crc32_bitwise(&bytes[..1000]);
+        for cut in [1, 3, 8, 13, 500, 997] {
+            let (a, rest) = bytes[..1000].split_at(cut);
+            let (b, c) = rest.split_at(rest.len() / 3);
+            assert_eq!(crc32(&[a, b, c]), whole, "split at {cut}");
+        }
+    }
+
     /// Golden bytes: the envelope of a fixed tree is pinned by length and
     /// CRC-32, so a change to the framing code cannot silently change
     /// what hibernation and checkpoints write.
     #[test]
     fn envelope_bytes_are_pinned() {
         let bytes = trained_model().snapshot().to_envelope();
-        assert_eq!(bytes.len(), 3584);
-        assert_eq!(crc32(&[&bytes]), 0xD162_2A77);
+        assert_eq!(bytes.len(), 1239);
+        assert_eq!(crc32(&[&bytes]), 0xB66C_8C50);
         assert_eq!(
             open_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &bytes).unwrap(),
             &bytes[HEADER_LEN..]
         );
+    }
+
+    /// `trained_model()`'s envelope as the JSON (version 1) encoder wrote
+    /// it, before the binary payload replaced it.
+    const V1_ENVELOPE: &[u8] = include_bytes!("../testdata/trained_model_v1.mlqs");
+
+    #[test]
+    fn v1_envelopes_still_restore_and_reencode_as_v2() {
+        // The fixture is the version 1 golden envelope, byte for byte.
+        assert_eq!(V1_ENVELOPE.len(), 3584);
+        assert_eq!(crc32(&[V1_ENVELOPE]), 0xD162_2A77);
+        assert_eq!(V1_ENVELOPE[4..8], SNAPSHOT_VERSION_JSON.to_le_bytes());
+
+        let original = trained_model();
+        let restored = match MemoryLimitedQuadtree::restore(V1_ENVELOPE, fallback_config()) {
+            Ok(RestoreOutcome::Restored(model)) => model,
+            other => panic!("version 1 envelope did not restore: {other:?}"),
+        };
+        assert_eq!(restored.snapshot(), original.snapshot(), "summaries or structure differ");
+        assert_eq!(restored.node_count(), original.node_count());
+        assert_eq!(restored.has_compressed(), original.has_compressed());
+        for i in 0..100u32 {
+            let p = [f64::from(i * 7 % 1000), f64::from(i * 13 % 1000)];
+            assert_eq!(restored.predict(&p).unwrap(), original.predict(&p).unwrap());
+        }
+        // The encoder writes only the current version.
+        let reencoded = restored.snapshot().to_envelope();
+        assert_eq!(reencoded[4..8], SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(reencoded, original.snapshot().to_envelope());
+    }
+
+    /// Byte length of the version-2 payload ahead of the compression
+    /// flag, for a `dims`-dimensional space.
+    fn config_len(dims: usize) -> usize {
+        1 + 16 * dims + 8 + 1 + 8 + 8 + 8 + 1
+    }
+
+    /// The version-2 payload of `trained_model()`, ready to edit.
+    fn v2_payload() -> Vec<u8> {
+        trained_model().snapshot().to_envelope()[HEADER_LEN..].to_vec()
+    }
+
+    /// Re-seals an edited payload so that only the payload decoder can
+    /// reject it, and checks that both decode paths do.
+    fn assert_payload_rejected(payload: &[u8], what: &str) {
+        let bytes = seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload);
+        match TreeSnapshot::from_envelope(&bytes) {
+            Err(MlqError::SnapshotCorrupt { reason }) => {
+                assert!(reason.starts_with("payload "), "{what}: {reason}");
+            }
+            other => panic!("{what}: expected SnapshotCorrupt, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                MemoryLimitedQuadtree::restore(&bytes, fallback_config()).unwrap(),
+                RestoreOutcome::CorruptFellBackToFresh { .. }
+            ),
+            "{what} restored"
+        );
+    }
+
+    #[test]
+    fn hostile_v2_payloads_are_corrupt_not_panics() {
+        let good = v2_payload();
+        let flag = config_len(2);
+        let count_at = flag + 1;
+        let records = count_at + 4;
+        assert_eq!((good.len() - records) % RECORD_LEN, 0);
+
+        let edit = |at: usize, value: &[u8]| {
+            let mut p = good.clone();
+            p[at..at + value.len()].copy_from_slice(value);
+            p
+        };
+        assert_payload_rejected(&[], "empty payload");
+        assert_payload_rejected(&edit(0, &[0]), "zero dimensions");
+        assert_payload_rejected(&edit(0, &[MAX_DIMS as u8 + 1]), "too many dimensions");
+        assert_payload_rejected(&edit(0, &[3]), "dimension count disagreeing with the bounds");
+        assert_payload_rejected(&edit(1, &f64::NAN.to_bits().to_le_bytes()), "NaN bound");
+        assert_payload_rejected(&edit(1 + 32 + 8, &[7]), "unknown strategy tag");
+        let mut eager_with_alpha = edit(1 + 32 + 8, &[0]);
+        eager_with_alpha[1 + 32 + 9] |= 1;
+        assert_payload_rejected(&eager_with_alpha, "eager strategy carrying an alpha");
+        assert_payload_rejected(&edit(flag, &[2]), "compression flag 2");
+        // A node count near u32::MAX must fail the length check before
+        // anything is allocated for it.
+        for count in [u32::MAX, u32::MAX - 1, 0, 1] {
+            assert_payload_rejected(&edit(count_at, &count.to_le_bytes()), "bad node count");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_payload_rejected(&trailing, "trailing byte");
+        assert_payload_rejected(&good[..good.len() - 1], "truncated record");
+        for cut in [1, 9, flag, count_at + 2] {
+            assert_payload_rejected(&good[..cut], "truncated header");
+        }
+    }
+
+    #[test]
+    fn v2_payload_with_empty_node_list_is_corrupt() {
+        // Zero nodes decodes (the count matches the bytes) but cannot
+        // restore: a tree has a root.
+        let mut p = v2_payload();
+        let count_at = config_len(2) + 1;
+        p.truncate(count_at + 4);
+        p[count_at..].copy_from_slice(&0u32.to_le_bytes());
+        let bytes = seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &p);
+        assert_eq!(TreeSnapshot::from_envelope(&bytes).unwrap().node_count(), 0);
+        assert!(matches!(
+            MemoryLimitedQuadtree::restore(&bytes, fallback_config()).unwrap(),
+            RestoreOutcome::CorruptFellBackToFresh { .. }
+        ));
+    }
+
+    #[test]
+    fn eager_trees_roundtrip_bit_exactly() {
+        let config =
+            MlqConfig::builder(Space::new(vec![-1.5, 0.0, 1e-9], vec![2.5, 7.0, 1.0]).unwrap())
+                .memory_budget(4096)
+                .beta(3)
+                .gamma(0.25)
+                .lambda(5)
+                .build()
+                .unwrap();
+        let mut m = MemoryLimitedQuadtree::new(config).unwrap();
+        for i in 0..200u32 {
+            let t = f64::from(i) / 200.0;
+            m.insert(&[t * 4.0 - 1.5, t * 7.0, t], 0.1 * f64::from(i % 13) + 1e-12).unwrap();
+        }
+        let snapshot = m.snapshot();
+        let back = TreeSnapshot::from_envelope(&snapshot.to_envelope()).unwrap();
+        assert_eq!(back, snapshot);
+        assert_eq!(back.to_envelope(), snapshot.to_envelope());
     }
 
     #[test]
@@ -658,6 +1067,15 @@ mod tests {
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
+        // A binary payload stamped as the JSON version 1 is corrupt, not
+        // a mismatch: version 1 is still read.
+        bytes[4..8].copy_from_slice(&SNAPSHOT_VERSION_JSON.to_le_bytes());
+        let crc = crc32(&[&bytes[4..8], &bytes[8..16], &bytes[HEADER_LEN..]]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            MemoryLimitedQuadtree::restore(&bytes, fallback_config()).unwrap(),
+            RestoreOutcome::CorruptFellBackToFresh { .. }
+        ));
         // Without the checksum fix-up the same edit reads as corruption.
         let mut unstamped = trained_model().snapshot().to_envelope();
         unstamped[4..8].copy_from_slice(&99u32.to_le_bytes());

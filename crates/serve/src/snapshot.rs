@@ -182,7 +182,10 @@ impl ShardSnapshot {
     ///
     /// Propagates malformed-point errors.
     pub fn predict(&self, point: &[f64]) -> Result<Option<f64>, MlqError> {
-        Ok(self.answer(self.cpu.tree.predict(point)?, self.io.tree.predict(point)?))
+        // Both component trees share the shard's space: validate and
+        // quantize once, then descend each tree from the same grid point.
+        let grid = self.cpu.tree.config().space.grid_point(point)?;
+        Ok(self.answer(self.cpu.tree.predict_grid(&grid), self.io.tree.predict_grid(&grid)))
     }
 
     /// One query's answer from its raw CPU and IO tree answers: each

@@ -367,20 +367,40 @@ fn batched_reads_match_single_reads_and_account_once_per_batch() {
     }
     svc.flush();
 
-    let queries: Vec<Vec<f64>> = (0..64)
+    let mut queries: Vec<Vec<f64>> = (0..64)
         .map(|_| vec![(xorshift(&mut seed) % 100) as f64, (xorshift(&mut seed) % 100) as f64])
         .collect();
+    // Out-of-range points clamp onto the space's boundary on both paths.
+    queries.extend([
+        vec![-5.0, 50.0],
+        vec![150.0, 50.0],
+        vec![1e300, -1e300],
+        vec![100.0, 100.0],
+        vec![-0.0, 0.0],
+        vec![f64::MIN_POSITIVE, 99.999_999_999],
+    ]);
     let batch = svc.predict_batch("A", &queries).expect("batch");
     assert_eq!(batch.len(), queries.len());
     for (q, b) in queries.iter().zip(&batch) {
         assert_eq!(*b, svc.predict("A", q).expect("single"), "point {q:?}");
     }
 
-    // Read accounting is exact: one batch of 64 plus 64 singles = 128,
-    // all under the same per-UDF series.
+    // Read accounting is exact: one batch plus one single per query, all
+    // under the same per-UDF series.
     let m = svc.metrics();
-    assert_eq!(m.counter("mlq_serve_reads{udf=\"A\"}"), Some(128));
+    assert_eq!(m.counter("mlq_serve_reads{udf=\"A\"}"), Some(2 * queries.len() as u64));
     assert!(svc.predict_batch("missing", &queries).is_err());
+
+    // A malformed point fails both paths with the same error.
+    for bad in
+        [vec![f64::NAN, 5.0], vec![5.0, f64::INFINITY], vec![f64::NEG_INFINITY, 0.0], vec![5.0]]
+    {
+        let single = svc.predict("A", &bad).expect_err("single accepted a malformed point");
+        let batched = svc
+            .predict_batch("A", &[vec![5.0, 5.0], bad.clone()])
+            .expect_err("batch accepted a malformed point");
+        assert_eq!(single, batched, "point {bad:?}");
+    }
 }
 
 #[test]

@@ -229,6 +229,43 @@ fn hibernation_roundtrip_is_bit_identical() {
     twin.shutdown();
 }
 
+/// Hibernation shrinks a model: an at-budget shard's envelopes take
+/// fewer bytes than the live accounted bytes the hibernation freed.
+#[test]
+fn hibernated_model_takes_fewer_cold_bytes_than_it_freed() {
+    let budget = 16 << 10;
+    let names = model_names(1);
+    let svc = build(
+        &names,
+        serve_config(Some(FleetConfig { global_budget: 1 << 30, hibernate_after: 2 }), budget),
+    );
+    let mut rng = SplitMix64(harness_seed() ^ 0xC01D);
+    for _ in 0..4000 {
+        let point = [rng.next_f64() * 1000.0, rng.next_f64() * 1000.0];
+        let cost = ExecutionCost {
+            cpu: 1.0 + rng.next_f64() * 99.0,
+            io: 1.0 + rng.next_f64() * 9.0,
+            results: 1,
+        };
+        svc.observe("M0", &point, cost).unwrap();
+    }
+    svc.flush();
+    let live_before = svc.fleet_live_bytes().unwrap();
+    assert!(live_before * 10 >= 2 * budget * 9, "CPU and IO trees not at budget: {live_before}");
+
+    let mut rounds = 0;
+    while !svc.is_hibernated("M0").unwrap() {
+        svc.step(64).unwrap();
+        rounds += 1;
+        assert!(rounds < 50, "M0 never hibernated after {rounds} idle rounds");
+    }
+    let freed = live_before - svc.fleet_live_bytes().unwrap();
+    let cold = svc.metrics().gauge("mlq_catalog_cold_bytes").unwrap();
+    assert!(cold > 0.0, "no envelope bytes recorded");
+    assert!(cold < freed as f64, "envelopes take {cold} bytes, hibernation freed {freed}");
+    svc.shutdown();
+}
+
 /// Property 2 under the background maintainer, the configuration the
 /// README documents: with nobody stepping, the maintainer thread's own
 /// idle rounds hibernate both shards, and a read wakes each one inline.

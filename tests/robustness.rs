@@ -7,8 +7,9 @@
 //! regression, never flake.
 
 use mlq_core::{
-    BreakerState, CostModel, GuardConfig, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree,
-    MlqConfig, MlqError, RestoreOutcome, Space,
+    seal_frame, BreakerState, CostModel, GuardConfig, GuardedModel, InsertionStrategy,
+    MemoryLimitedQuadtree, MlqConfig, MlqError, RestoreOutcome, Space, TreeSnapshot,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use mlq_storage::{
     BufferPool, DiskSim, FaultConfig, FaultInjector, HeapFileBuilder, RetryPolicy, StorageError,
@@ -216,6 +217,18 @@ fn trained(seed: u64) -> MemoryLimitedQuadtree {
     m
 }
 
+/// Envelope header bytes ahead of the payload.
+const ENVELOPE_HEADER: usize = 20;
+/// Version-2 payload offsets for [`space`]'s two dimensions: the
+/// configuration (dimension count, bounds, budget, strategy, α, β, γ, λ)
+/// ends at the compression flag, then come the `u32` node count and the
+/// node records.
+const V2_FLAG_AT: usize = 1 + 2 * 16 + 8 + 1 + 8 + 8 + 8 + 1;
+const V2_RECORDS_AT: usize = V2_FLAG_AT + 1 + 4;
+/// Bytes per node record: sum, sum_sq, count, depth (+24), slot (+25),
+/// parent (+27).
+const V2_RECORD_LEN: usize = 31;
+
 fn fallback() -> MlqConfig {
     MlqConfig::builder(space())
         .memory_budget(4096)
@@ -278,6 +291,71 @@ proptest! {
         let restored = outcome.into_model();
         restored.check_invariants().unwrap();
         prop_assert_eq!(restored.node_count(), original.node_count());
+    }
+
+    /// A hostile version-2 payload behind a valid checksum — a field
+    /// rewritten, bytes appended or cut — never panics either decoder:
+    /// `from_envelope` answers a snapshot or `SnapshotCorrupt`, and
+    /// `restore` answers a tree that passes the invariant checker or a
+    /// fresh fallback.
+    #[test]
+    fn resealed_hostile_payloads_never_panic_or_restore_broken_trees(
+        seed in 0u64..300,
+        kind in 0u8..10,
+        at in 0.0..1.0f64,
+        value in any::<u64>(),
+        extra in 1usize..64,
+    ) {
+        let original = trained(seed);
+        let clean = original.snapshot().to_envelope()[ENVELOPE_HEADER..].to_vec();
+        let nodes = (clean.len() - V2_RECORDS_AT) / V2_RECORD_LEN;
+        let record = V2_RECORDS_AT + ((nodes as f64 * at) as usize).min(nodes - 1) * V2_RECORD_LEN;
+        let mut payload = clean.clone();
+        let mut put = |offset: usize, bytes: &[u8]| {
+            payload[offset..offset + bytes.len()].copy_from_slice(bytes);
+        };
+        match kind {
+            0 => put(0, &[value as u8]), // dimension count: the config's length
+            1 => put(V2_FLAG_AT, &[value as u8]),
+            2 => put(V2_FLAG_AT + 1, &(value as u32).to_le_bytes()),
+            3 => put(V2_FLAG_AT + 1, &(u32::MAX - (value % 16) as u32).to_le_bytes()),
+            4 => put(record + 24, &[value as u8]), // depth
+            5 => put(record + 25, &(value as u16).to_le_bytes()), // slot_in_parent
+            6 => {
+                // Parent: anything, or an index that exists.
+                let parent = if value % 2 == 0 { value >> 32 } else { value % nodes as u64 };
+                put(record + 27, &(parent as u32).to_le_bytes());
+            }
+            7 => payload.extend(std::iter::repeat_n(value as u8, extra)),
+            8 => payload.truncate(payload.len().saturating_sub(extra)),
+            _ => {
+                let idx = ((payload.len() as f64 * at) as usize).min(payload.len() - 1);
+                payload[idx] = value as u8;
+            }
+        }
+        let bytes = seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload);
+
+        let decoded = TreeSnapshot::from_envelope(&bytes);
+        prop_assert!(
+            matches!(decoded, Ok(_) | Err(MlqError::SnapshotCorrupt { .. })),
+            "from_envelope answered {:?}", decoded.err()
+        );
+        match MemoryLimitedQuadtree::restore(&bytes, fallback()).unwrap() {
+            RestoreOutcome::Restored(restored) => {
+                prop_assert!(decoded.is_ok(), "restored what from_envelope rejected");
+                restored.check_invariants().unwrap();
+                if payload == clean {
+                    prop_assert_eq!(restored.snapshot(), original.snapshot());
+                }
+            }
+            RestoreOutcome::CorruptFellBackToFresh { model, .. } => {
+                prop_assert!(payload != clean, "the clean payload fell back");
+                prop_assert_eq!(model.root_summary().count, 0);
+            }
+            RestoreOutcome::VersionMismatch { found, .. } => {
+                prop_assert!(false, "a version {} envelope reported a mismatch", found);
+            }
+        }
     }
 
     /// Any feedback stream — points far outside the space, huge costs,
