@@ -29,13 +29,13 @@ use crate::queue::{
     BackpressurePolicy, Feedback, FeedbackQueue, PushOutcome, QueueCounters, QueueMetrics,
 };
 use crate::recovery::{
-    prune_generations, recover_dir, wal_path, write_checkpoint, RecoveryReport, RestoreKind,
-    ShardRecovery,
+    prune_generations, recover_dir, write_checkpoint, RecoveryReport, RestoreKind, ShardRecovery,
+    ShardState,
 };
 use crate::snapshot::{ComponentSnapshot, ShardCounters, ShardSnapshot};
 use crate::wal::{
-    shard_stem, DurabilityConfig, DurabilityIo, DurabilityShared, DurabilityStatus, WalError,
-    WalRecord, WalWriter,
+    shard_stem, DurabilityConfig, DurabilityIo, DurabilityShared, DurabilityStatus, Journal,
+    WalError, WalRecord, JOURNAL_FILE,
 };
 use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
@@ -234,17 +234,6 @@ impl ModelObs {
     }
 }
 
-/// A hibernated shard's spilled state: both components as CRC-checked
-/// snapshot envelopes plus the guard states at hibernation time. While
-/// this exists the shard's live `GuardedModel`s hold empty stand-in
-/// trees; a wake restores from here bit-identically.
-struct HibernatedShard {
-    cpu_env: Vec<u8>,
-    io_env: Vec<u8>,
-    cpu_guard: GuardState,
-    io_guard: GuardState,
-}
-
 /// The maintainer's live state for one shard. The apply/version tallies
 /// live in the shared registry (labeled `{udf="<name>"}`); the plain
 /// [`ShardCounters`] struct snapshots them as a view.
@@ -269,8 +258,10 @@ struct ShardModels {
     /// are `Arc`-shared with the published snapshot.
     prev_cpu: Option<FrozenTree>,
     prev_io: Option<FrozenTree>,
-    /// `Some` while this shard is hibernated by fleet arbitration.
-    hibernated: Option<Box<HibernatedShard>>,
+    /// `Some` while this shard is hibernated by fleet arbitration: its
+    /// spilled state, while the live `GuardedModel`s hold empty stand-in
+    /// trees. A wake restores from here bit-identically.
+    hibernated: Option<Box<ShardState>>,
 }
 
 impl ShardModels {
@@ -339,6 +330,17 @@ impl ShardModels {
             snap.mark_hibernated()
         } else {
             snap
+        }
+    }
+
+    /// Both components' envelopes and guard states, as a hibernation
+    /// spills them and a checkpoint writes them.
+    fn spill(&self) -> ShardState {
+        ShardState {
+            cpu_env: self.cpu.inner().snapshot().to_envelope(),
+            io_env: self.io.inner().snapshot().to_envelope(),
+            cpu_guard: self.cpu.export_state(),
+            io_guard: self.io.export_state(),
         }
     }
 
@@ -427,26 +429,34 @@ impl MaintainerObs {
 /// One shard's durable-side state, index-aligned with
 /// [`MaintainerCore::shards`].
 struct ShardDurability {
-    wal: WalWriter,
     /// Newest published checkpoint generation.
     generation: u64,
+    /// Sequence number that generation covers.
+    covered: u64,
     appended: Counter,
     synced_gauge: Gauge,
     checkpoints: Counter,
 }
 
 /// The maintainer's durability engine: journals every drained batch
-/// before it is applied, group-commits once per touched shard per batch,
-/// checkpoints on a batch cadence, and trips a circuit breaker into
-/// in-memory-only serving when persistence keeps failing.
+/// before it is applied with one group commit into the service-wide
+/// journal, checkpoints on a batch cadence, and trips a circuit breaker
+/// into in-memory-only serving when persistence keeps failing.
 struct DurabilityCore {
     dir: PathBuf,
     checkpoint_every: u64,
     degrade_after: u32,
     io: DurabilityIo,
+    journal: Journal,
     shards: Vec<ShardDurability>,
+    /// Legacy per-shard journals replayed at startup, deleted once the
+    /// startup checkpoint covers them.
+    legacy: Vec<PathBuf>,
     shared: Arc<DurabilityShared>,
     commits: Counter,
+    commit_nanos: Histogram,
+    committed_bytes: Counter,
+    truncations: Counter,
     commit_retries: Counter,
     checkpoint_failures: Counter,
     degraded_gauge: Gauge,
@@ -480,40 +490,46 @@ impl DurabilityCore {
         }
     }
 
-    /// Journals one drained batch and group-commits every shard with
-    /// pending frames — one write and one fsync per touched shard, no
-    /// matter how many observations the batch held. Runs *before* the
-    /// records are applied to the models.
+    /// Journals one drained batch with one group commit — one write and
+    /// one sync, no matter how many observations or shards the batch
+    /// held. Runs *before* the records are applied to the models.
     fn journal(&mut self, batch: &[Feedback]) {
         if !self.active() {
             return;
         }
         for fb in batch {
-            if let Some(sd) = self.shards.get_mut(fb.shard) {
-                sd.wal.append(&fb.point, fb.cost);
+            if let Some(sd) = self.shards.get(fb.shard) {
+                self.journal.append(fb.shard, &fb.point, fb.cost);
                 sd.appended.inc();
             }
         }
-        for idx in 0..self.shards.len() {
-            if !self.active() {
-                return;
-            }
-            if self.shards[idx].wal.has_pending() {
-                self.commit_shard(idx);
-            }
-        }
+        self.commit();
     }
 
-    fn commit_shard(&mut self, idx: usize) {
-        let outcome = self.shards[idx].wal.commit(&mut self.io);
+    /// Commits whatever the journal holds; on success, advances every
+    /// shard's published durable sequence number.
+    fn commit(&mut self) {
+        let bytes = self.journal.pending_bytes();
+        if bytes == 0 {
+            return;
+        }
+        let start = Instant::now();
+        let outcome = self.journal.commit(&mut self.io);
         self.commit_retries.add(self.io.take_retries());
         match outcome {
             Ok(()) => {
+                self.commit_nanos
+                    .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 self.commits.inc();
+                self.committed_bytes.add(bytes as u64);
                 self.failure_streak = 0;
-                let seq = self.shards[idx].wal.synced_seq();
-                self.shared.set_synced(idx, seq);
-                self.shards[idx].synced_gauge.set(seq as f64);
+                for (idx, sd) in self.shards.iter().enumerate() {
+                    let seq = self.journal.synced_seq(idx);
+                    if seq != self.shared.synced(idx) {
+                        self.shared.set_synced(idx, seq);
+                        sd.synced_gauge.set(seq as f64);
+                    }
+                }
             }
             Err(WalError::Crashed) => self.crash(),
             Err(WalError::Io(err)) => self.note_failure(err),
@@ -535,74 +551,92 @@ impl DurabilityCore {
         self.checkpoint_all(shards);
     }
 
-    fn checkpoint_all(&mut self, shards: &[ShardModels]) {
+    /// Checkpoints every shard, then truncates the journal once — only
+    /// when every shard's newest published generation covers its synced
+    /// sequence number, so no record is dropped that a checkpoint does
+    /// not hold. Returns whether the journal was truncated.
+    fn checkpoint_all(&mut self, shards: &[ShardModels]) -> bool {
+        // Anything still buffered must become durable first: a checkpoint
+        // must never claim a sequence number the journal could not.
+        self.commit();
+        if !self.active() || self.journal.pending_bytes() > 0 {
+            return false;
+        }
         for (idx, shard) in shards.iter().enumerate().take(self.shards.len()) {
             if !self.active() {
-                return;
+                return false;
             }
             self.checkpoint_shard(idx, shard);
+        }
+        let covered = self
+            .shards
+            .iter()
+            .enumerate()
+            .all(|(idx, sd)| sd.covered == self.journal.synced_seq(idx));
+        if !self.active() || !covered {
+            return false;
+        }
+        match self.journal.truncate(&mut self.io) {
+            Ok(()) => {
+                self.truncations.inc();
+                for (sd, shard) in self.shards.iter().zip(shards) {
+                    prune_generations(&self.dir, &shard.name, sd.generation);
+                }
+                true
+            }
+            Err(WalError::Crashed) => {
+                self.crash();
+                false
+            }
+            Err(WalError::Io(err)) => {
+                self.note_failure(err);
+                false
+            }
         }
     }
 
     /// Establishes the recovery baseline at build time: a fresh
-    /// checkpoint per shard followed by journal truncation. The on-disk
-    /// journal stays untouched until the checkpoint covering it has
+    /// checkpoint per shard, then the journal truncated down to this
+    /// service's name table and the replayed legacy journals deleted.
+    /// Nothing on disk is dropped until the checkpoints covering it have
     /// published, so a crash mid-startup still recovers from the old
-    /// state. A shard that cannot establish its baseline makes journaling
-    /// unsafe, so any startup failure degrades the layer immediately
+    /// state. A service that cannot establish its baseline must not
+    /// journal, so any startup failure degrades the layer immediately
     /// rather than waiting for the runtime streak.
     fn startup(&mut self, shards: &[ShardModels]) {
-        self.checkpoint_all(shards);
-        if self.failure_streak > 0 && self.shared.status() == DurabilityStatus::Active {
+        if self.checkpoint_all(shards) {
+            for path in self.legacy.drain(..) {
+                let _ = std::fs::remove_file(path);
+            }
+        } else if self.shared.status() == DurabilityStatus::Active {
             self.degrade();
         }
     }
 
     fn checkpoint_shard(&mut self, idx: usize, shard: &ShardModels) {
-        // A hibernated shard's live trees are empty stand-ins; its real
-        // state is the spilled envelopes. Checkpointing the stand-in
-        // would clobber the durable baseline with an empty model, and
-        // the shard cannot have unjournaled feedback (feedback wakes it
-        // before applying), so skipping is safe.
-        if shard.hibernated.is_some() {
-            return;
-        }
-        // Anything still buffered must become durable first: a checkpoint
-        // must never claim a sequence number the journal could not.
-        if self.shards[idx].wal.has_pending() {
-            self.commit_shard(idx);
-        }
-        if !self.active() {
-            return;
-        }
-        let wal = &self.shards[idx].wal;
-        if wal.synced_seq() != wal.appended_seq() {
-            return;
-        }
-        let seq = wal.synced_seq();
+        let seq = self.journal.synced_seq(idx);
         let generation = self.shards[idx].generation + 1;
-        let outcome = write_checkpoint(
-            &mut self.io,
-            &self.dir,
-            &shard.name,
-            generation,
-            seq,
-            shard.cpu.inner(),
-            shard.io.inner(),
-            &shard.cpu.export_state(),
-            &shard.io.export_state(),
-        );
+        // A hibernated shard's live trees are empty stand-ins; its spilled
+        // state is its checkpoint. Feedback wakes a shard before it is
+        // applied, so that state holds everything the shard journaled.
+        let spilled;
+        let state = match shard.hibernated.as_deref() {
+            Some(state) => state,
+            None => {
+                spilled = shard.spill();
+                &spilled
+            }
+        };
+        let outcome =
+            write_checkpoint(&mut self.io, &self.dir, &shard.name, generation, seq, state);
         self.commit_retries.add(self.io.take_retries());
         match outcome {
             Ok(()) => {
-                self.shards[idx].generation = generation;
-                self.shards[idx].checkpoints.inc();
+                let sd = &mut self.shards[idx];
+                sd.generation = generation;
+                sd.covered = seq;
+                sd.checkpoints.inc();
                 self.failure_streak = 0;
-                match self.shards[idx].wal.truncate(&mut self.io) {
-                    Ok(()) => prune_generations(&self.dir, &shard.name, generation),
-                    Err(WalError::Crashed) => self.crash(),
-                    Err(WalError::Io(err)) => self.note_failure(err),
-                }
             }
             Err(WalError::Crashed) => self.crash(),
             Err(WalError::Io(err)) => {
@@ -893,12 +927,7 @@ impl MaintainerCore {
             shard.apply_errors.inc();
             return;
         };
-        shard.hibernated = Some(Box::new(HibernatedShard {
-            cpu_env: shard.cpu.inner().snapshot().to_envelope(),
-            io_env: shard.io.inner().snapshot().to_envelope(),
-            cpu_guard: shard.cpu.export_state(),
-            io_guard: shard.io.export_state(),
-        }));
+        shard.hibernated = Some(Box::new(shard.spill()));
         shard.replace_models(cpu_stub, io_stub);
         fleet.obs.hibernations.inc();
         self.publish(idx, published);
@@ -1220,12 +1249,14 @@ impl ConcurrentEstimatorBuilder {
         // Recovery: disk state replaces (or adds to) same-name registered
         // shards; the checkpointed trees carry their own configuration.
         let mut dur_io = None;
+        let mut legacy = Vec::new();
         if let Some(dconfig) = &durability {
             std::fs::create_dir_all(&dconfig.dir).map_err(|e| MlqError::IoFault {
                 reason: format!("durability dir create {}: {e}", dconfig.dir.display()),
             })?;
             dur_io = Some(DurabilityIo::new(dconfig)?);
             let recovered = recover_dir(&dconfig.dir)?;
+            legacy = recovered.legacy;
             for shard in recovered.shards {
                 let replayed = shard.records.len() as u64;
                 let p = PendingShard {
@@ -1277,6 +1308,7 @@ impl ConcurrentEstimatorBuilder {
         let mut names = BTreeMap::new();
         let mut reads = Vec::with_capacity(pending.len());
         let mut dur_shards = Vec::new();
+        let (mut dur_names, mut dur_seqs) = (Vec::new(), Vec::new());
         for (idx, p) in pending.into_iter().enumerate() {
             names.insert(p.name.clone(), idx);
             reads.push(registry.counter(&labeled("mlq_serve_reads", &[("udf", &p.name)])));
@@ -1301,7 +1333,7 @@ impl ConcurrentEstimatorBuilder {
                     DeltaTracker::for_model(shard.io.inner(), budget)?,
                 )));
             }
-            if let Some(dconfig) = &durability {
+            if durability.is_some() {
                 registry
                     .counter(&labeled(
                         "mlq_serve_restore_outcome",
@@ -1321,12 +1353,11 @@ impl ConcurrentEstimatorBuilder {
                     },
                 });
                 let wal_labels = [("udf", p.name.as_str())];
+                dur_names.push(p.name.clone());
+                dur_seqs.push(p.recovered_seq);
                 dur_shards.push(ShardDurability {
-                    wal: WalWriter::open_preserving(
-                        wal_path(&dconfig.dir, &p.name),
-                        p.recovered_seq,
-                    )?,
                     generation: p.generation,
+                    covered: p.checkpoint_seq,
                     appended: registry
                         .counter(&labeled("mlq_serve_wal_appended_records", &wal_labels)),
                     synced_gauge: registry.gauge(&labeled("mlq_serve_wal_synced_seq", &wal_labels)),
@@ -1344,24 +1375,31 @@ impl ConcurrentEstimatorBuilder {
                 shared = Some(Arc::clone(&core_shared));
                 let degraded_gauge = registry.gauge("mlq_serve_durability_degraded");
                 degraded_gauge.set(0.0);
+                for (idx, (sd, &seq)) in dur_shards.iter().zip(&dur_seqs).enumerate() {
+                    core_shared.set_synced(idx, seq);
+                    sd.synced_gauge.set(seq as f64);
+                }
+                let journal =
+                    Journal::open_preserving(dconfig.dir.join(JOURNAL_FILE), dur_names, dur_seqs)?;
                 let mut core = DurabilityCore {
                     dir: dconfig.dir,
                     checkpoint_every: dconfig.checkpoint_every,
                     degrade_after: dconfig.degrade_after,
                     io,
+                    journal,
                     shards: dur_shards,
+                    legacy,
                     shared: core_shared,
                     commits: registry.counter("mlq_serve_wal_commits"),
+                    commit_nanos: registry.histogram("mlq_serve_wal_commit_nanos"),
+                    committed_bytes: registry.counter("mlq_serve_wal_bytes"),
+                    truncations: registry.counter("mlq_serve_wal_truncations"),
                     commit_retries: registry.counter("mlq_serve_wal_commit_retries"),
                     checkpoint_failures: registry.counter("mlq_serve_checkpoint_failures"),
                     degraded_gauge,
                     failure_streak: 0,
                     batches_since_checkpoint: 0,
                 };
-                for (idx, sd) in core.shards.iter().enumerate() {
-                    core.shared.set_synced(idx, sd.wal.synced_seq());
-                    sd.synced_gauge.set(sd.wal.synced_seq() as f64);
-                }
                 core.startup(&shards);
                 Some(core)
             }

@@ -10,15 +10,19 @@
 //! ## On-disk layout
 //!
 //! Checkpoints are *generation* numbered; per shard, generation `G`
-//! consists of three files under the durability directory:
+//! consists of three files under the durability directory, beside the
+//! one journal every shard shares:
 //!
 //! ```text
 //! {stem}.{G}.cpu.mlqs   CPU tree, PR-1 snapshot envelope
 //! {stem}.{G}.io.mlqs    IO tree, PR-1 snapshot envelope
 //! {stem}.{G}.meta       sealed frame: name, generation, sequence
 //!                       number, both guard states
-//! {stem}.wal            the feedback journal (see wal.rs)
+//! feedback.journal      the service-wide feedback journal (see wal.rs)
 //! ```
+//!
+//! A directory written before the shared journal may also hold one
+//! legacy `{stem}.wal` journal per shard; recovery replays it once.
 //!
 //! The meta file is written last, through a temporary and an atomic
 //! rename — it *publishes* the generation. A crash between the tree
@@ -33,16 +37,21 @@
 //!
 //! 1. Discover shards by their `{stem}.{G}.meta` files.
 //! 2. Per shard, load the newest fully valid generation.
-//! 3. Scan the journal's valid prefix; keep the contiguous run of
-//!    records with sequence numbers greater than the checkpoint's.
+//! 3. Scan the journal's valid prefix once, routing each record to its
+//!    shard by the name table (after any legacy journal's records); per
+//!    shard, keep the contiguous run of records with sequence numbers
+//!    greater than the checkpoint's.
 //! 4. Replay that run through the normal guarded-apply path (the caller
 //!    does this, with the imported guard states, so replay decisions are
 //!    exactly the live decisions).
-//! 5. Write a fresh checkpoint and truncate the journal, so a crash
-//!    during recovery itself still recovers from the old state.
+//! 5. Write a fresh checkpoint of every shard, then truncate the journal
+//!    and delete the legacy journals, so a crash during recovery itself
+//!    still recovers from the old state.
 
-use crate::wal::WalRecord;
-use crate::wal::{read_wal, shard_stem, write_file_durable, CrashOp, DurabilityIo, WalError};
+use crate::wal::{
+    read_journal, read_legacy_wal, shard_stem, write_file_durable, ByteReader, CrashOp,
+    DurabilityIo, WalError, WalRecord, JOURNAL_FILE,
+};
 use mlq_core::{
     open_frame, seal_frame, BreakerState, GuardCounters, GuardState, MemoryLimitedQuadtree,
     MlqError, Summary, TreeSnapshot,
@@ -132,6 +141,9 @@ pub(crate) struct DirRecovery {
     /// Stems whose every generation failed verification: no model or
     /// configuration could be reconstructed. `(stem, reason)`.
     pub unreadable: Vec<(String, String)>,
+    /// Legacy per-shard journals whose records were routed into
+    /// `shards`; deleted once the startup checkpoint covers them.
+    pub legacy: Vec<PathBuf>,
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -171,46 +183,6 @@ fn encode_guard(out: &mut Vec<u8>, g: &GuardState) {
     out.extend_from_slice(&g.pending_predict_failures.to_le_bytes());
     out.extend_from_slice(&g.fallback_predictions.to_le_bytes());
     out.extend_from_slice(&g.consecutive_quarantined.to_le_bytes());
-}
-
-/// A panic-free little-endian cursor over untrusted meta bytes.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or_else(|| "length overflow".to_string())?;
-        let slice =
-            self.buf.get(self.pos..end).ok_or_else(|| format!("truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length taken")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length taken")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 fn decode_guard(r: &mut ByteReader<'_>) -> Result<GuardState, String> {
@@ -304,38 +276,40 @@ fn gen_path(dir: &Path, stem: &str, generation: u64, suffix: &str) -> PathBuf {
     dir.join(format!("{stem}.{generation}.{suffix}"))
 }
 
-/// Path of a shard's journal file.
-pub(crate) fn wal_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{}.wal", shard_stem(name)))
+/// A shard's complete mutable state as bytes and guard states: both
+/// components as snapshot envelopes plus both guards' [`GuardState`].
+/// A checkpoint writes it; a hibernated shard holds it in place of its
+/// live trees, so a hibernated shard's checkpoint is what it holds.
+pub(crate) struct ShardState {
+    pub cpu_env: Vec<u8>,
+    pub io_env: Vec<u8>,
+    pub cpu_guard: GuardState,
+    pub io_guard: GuardState,
 }
 
-/// Writes checkpoint generation `generation` for one shard: both tree
+/// Writes checkpoint generation `generation` of shard `name`: both tree
 /// envelopes first, then the meta frame whose atomic rename publishes
 /// the generation. Screened by `io` for fault injection and crash hooks.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn write_checkpoint(
     io: &mut DurabilityIo,
     dir: &Path,
     name: &str,
     generation: u64,
     seq: u64,
-    cpu: &MemoryLimitedQuadtree,
-    io_model: &MemoryLimitedQuadtree,
-    cpu_guard: &GuardState,
-    io_guard: &GuardState,
+    state: &ShardState,
 ) -> Result<(), WalError> {
     let stem = shard_stem(name);
     write_file_durable(
         io,
         &gen_path(dir, &stem, generation, "cpu.mlqs"),
-        &cpu.snapshot().to_envelope(),
+        &state.cpu_env,
         Some(CrashOp::CheckpointCpu),
         None,
     )?;
     write_file_durable(
         io,
         &gen_path(dir, &stem, generation, "io.mlqs"),
-        &io_model.snapshot().to_envelope(),
+        &state.io_env,
         Some(CrashOp::CheckpointIo),
         None,
     )?;
@@ -343,8 +317,8 @@ pub(crate) fn write_checkpoint(
         name: name.to_string(),
         generation,
         seq,
-        cpu_guard: cpu_guard.clone(),
-        io_guard: io_guard.clone(),
+        cpu_guard: state.cpu_guard.clone(),
+        io_guard: state.io_guard.clone(),
     };
     write_file_durable(
         io,
@@ -421,8 +395,9 @@ fn load_generation(dir: &Path, stem: &str, meta_path: &Path) -> Result<Recovered
 }
 
 /// Recovers every shard a durability directory holds: newest valid
-/// generation per shard plus the contiguous journal tail to replay. A
-/// missing directory recovers nothing (first boot).
+/// generation per shard plus the contiguous journal tail to replay,
+/// routed out of one scan of the shared journal. A missing directory
+/// recovers nothing (first boot).
 ///
 /// # Errors
 ///
@@ -444,7 +419,11 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(DirRecovery { shards: Vec::new(), unreadable: Vec::new() });
+            return Ok(DirRecovery {
+                shards: Vec::new(),
+                unreadable: Vec::new(),
+                legacy: Vec::new(),
+            });
         }
         Err(e) => {
             return Err(MlqError::IoFault {
@@ -478,15 +457,35 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
                 Err(reason) => failures.push(format!("gen {generation}: {reason}")),
             }
         }
-        let Some(mut shard) = chosen else {
-            unreadable.push((stem, failures.join("; ")));
-            continue;
-        };
+        match chosen {
+            Some(shard) => shards.push(shard),
+            None => unreadable.push((stem, failures.join("; "))),
+        }
+    }
 
+    // One scan of the shared journal, routed by name. A shard's legacy
+    // journal predates every record of the shared one, so it goes first.
+    let journal = read_journal(&dir.join(JOURNAL_FILE))?;
+    let mut routed: Vec<Vec<WalRecord>> = vec![Vec::new(); journal.names.len()];
+    for (idx, rec) in journal.records {
+        routed[idx].push(rec);
+    }
+    let mut legacy = Vec::new();
+    for shard in &mut shards {
+        let legacy_path = dir.join(format!("{}.wal", shard_stem(&shard.name)));
+        let old = read_legacy_wal(&legacy_path)?;
+        if legacy_path.exists() {
+            legacy.push(legacy_path);
+        }
+        let shared = journal
+            .names
+            .iter()
+            .position(|n| *n == shard.name)
+            .map(|idx| std::mem::take(&mut routed[idx]))
+            .unwrap_or_default();
         // The journal tail: records past the checkpoint, contiguous.
-        let scan = read_wal(&wal_path(dir, &shard.name))?;
         let mut expected = shard.checkpoint_seq + 1;
-        for rec in scan.records {
+        for rec in old.records.into_iter().map(|(_, rec)| rec).chain(shared) {
             if rec.seq < expected {
                 continue; // already covered by the checkpoint
             }
@@ -500,21 +499,24 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
                 break;
             }
         }
-        if let Some(torn) = scan.torn {
-            shard.detail.push_str(&format!(
-                "; journal tail: {torn} (valid prefix {} bytes)",
-                scan.valid_len
-            ));
+        for (kind, scan_torn, valid_len) in [
+            ("legacy journal", &old.torn, old.valid_len),
+            ("journal", &journal.torn, journal.valid_len),
+        ] {
+            if let Some(torn) = scan_torn {
+                shard
+                    .detail
+                    .push_str(&format!("; {kind} tail: {torn} (valid prefix {valid_len} bytes)"));
+            }
         }
-        shards.push(shard);
     }
-    Ok(DirRecovery { shards, unreadable })
+    Ok(DirRecovery { shards, unreadable, legacy })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{DurabilityConfig, WalWriter};
+    use crate::wal::{encode_legacy_record, DurabilityConfig, Journal};
     use mlq_core::{CostModel, GuardConfig, GuardedModel, InsertionStrategy, MlqConfig, Space};
     use mlq_udfs::ExecutionCost;
 
@@ -527,6 +529,28 @@ mod tests {
 
     fn quiet_io() -> DurabilityIo {
         DurabilityIo::new(&DurabilityConfig::new("unused")).unwrap()
+    }
+
+    /// [`write_checkpoint`] from live trees.
+    #[allow(clippy::too_many_arguments)]
+    fn checkpoint(
+        io: &mut DurabilityIo,
+        dir: &Path,
+        name: &str,
+        generation: u64,
+        seq: u64,
+        cpu: &MemoryLimitedQuadtree,
+        io_model: &MemoryLimitedQuadtree,
+        cpu_guard: &GuardState,
+        io_guard: &GuardState,
+    ) -> Result<(), WalError> {
+        let state = ShardState {
+            cpu_env: cpu.snapshot().to_envelope(),
+            io_env: io_model.snapshot().to_envelope(),
+            cpu_guard: cpu_guard.clone(),
+            io_guard: io_guard.clone(),
+        };
+        write_checkpoint(io, dir, name, generation, seq, &state)
     }
 
     fn trained_pair() -> (MemoryLimitedQuadtree, MemoryLimitedQuadtree, GuardState, GuardState) {
@@ -559,8 +583,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
         let mut io = quiet_io();
-        write_checkpoint(&mut io, &dir, "WIN", 3, 150, &cpu, &io_model, &cpu_guard, &io_guard)
-            .unwrap();
+        checkpoint(&mut io, &dir, "WIN", 3, 150, &cpu, &io_model, &cpu_guard, &io_guard).unwrap();
 
         let rec = recover_dir(&dir).unwrap();
         assert!(rec.unreadable.is_empty());
@@ -587,7 +610,7 @@ mod tests {
         let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
         let mut io = quiet_io();
         for generation in [1, 2] {
-            write_checkpoint(
+            checkpoint(
                 &mut io,
                 &dir,
                 "WIN",
@@ -626,8 +649,7 @@ mod tests {
         let dir = temp_dir("unreadable");
         let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
         let mut io = quiet_io();
-        write_checkpoint(&mut io, &dir, "WIN", 1, 10, &cpu, &io_model, &cpu_guard, &io_guard)
-            .unwrap();
+        checkpoint(&mut io, &dir, "WIN", 1, 10, &cpu, &io_model, &cpu_guard, &io_guard).unwrap();
         let meta_path = dir.join(format!("{}.1.meta", shard_stem("WIN")));
         std::fs::write(&meta_path, b"garbage").unwrap();
 
@@ -643,15 +665,16 @@ mod tests {
         let dir = temp_dir("tail");
         let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
         let mut io = quiet_io();
-        write_checkpoint(&mut io, &dir, "WIN", 1, 2, &cpu, &io_model, &cpu_guard, &io_guard)
-            .unwrap();
-        // Journal holds seq 1..=5; the checkpoint covers 1..=2.
-        let mut wal = WalWriter::create(wal_path(&dir, "WIN"), 0).unwrap();
+        checkpoint(&mut io, &dir, "WIN", 1, 2, &cpu, &io_model, &cpu_guard, &io_guard).unwrap();
+        // The shared journal holds WIN's seq 1..=5 interleaved with
+        // another shard's; the checkpoint covers 1..=2.
+        let names = vec!["OTHER".to_string(), "WIN".to_string()];
+        let mut wal = Journal::open_preserving(dir.join(JOURNAL_FILE), names, vec![0, 0]).unwrap();
+        wal.truncate(&mut io).unwrap();
         for i in 1..=5u32 {
-            wal.append(
-                &[f64::from(i), 0.0],
-                ExecutionCost { cpu: f64::from(i), io: 1.0, results: 1 },
-            );
+            let cost = ExecutionCost { cpu: f64::from(i), io: 1.0, results: 1 };
+            wal.append(1, &[f64::from(i), 0.0], cost);
+            wal.append(0, &[0.0, f64::from(i)], cost);
         }
         wal.commit(&mut io).unwrap();
 
@@ -659,6 +682,38 @@ mod tests {
         let shard = &rec.shards[0];
         let seqs: Vec<u64> = shard.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5]);
+        assert!(shard.records.iter().all(|r| r.point[1] == 0.0), "another shard's record leaked");
+        assert!(rec.legacy.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn legacy_journal_records_precede_the_shared_journal() {
+        let dir = temp_dir("legacy");
+        let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
+        let mut io = quiet_io();
+        checkpoint(&mut io, &dir, "WIN", 1, 2, &cpu, &io_model, &cpu_guard, &io_guard).unwrap();
+        let cost = ExecutionCost { cpu: 1.0, io: 1.0, results: 1 };
+        // A legacy `{stem}.wal` holds seq 1..=3.
+        let mut legacy = Vec::new();
+        for i in 1..=3u32 {
+            encode_legacy_record(&mut legacy, u64::from(i), &[f64::from(i), 0.0], cost);
+        }
+        let legacy_path = dir.join(format!("{}.wal", shard_stem("WIN")));
+        std::fs::write(&legacy_path, &legacy).unwrap();
+        // The shared journal continues at seq 4.
+        let mut wal =
+            Journal::open_preserving(dir.join(JOURNAL_FILE), vec!["WIN".into()], vec![3]).unwrap();
+        wal.truncate(&mut io).unwrap();
+        for i in 4..=5u32 {
+            wal.append(0, &[f64::from(i), 0.0], cost);
+        }
+        wal.commit(&mut io).unwrap();
+
+        let rec = recover_dir(&dir).unwrap();
+        let seqs: Vec<u64> = rec.shards[0].records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![3, 4, 5]);
+        assert_eq!(rec.legacy, vec![legacy_path]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -668,7 +723,7 @@ mod tests {
         let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
         let mut io = quiet_io();
         for generation in 1..=4u64 {
-            write_checkpoint(
+            checkpoint(
                 &mut io, &dir, "WIN", generation, generation, &cpu, &io_model, &cpu_guard,
                 &io_guard,
             )

@@ -12,7 +12,8 @@
 
 use mlq_core::Space;
 use mlq_serve::{
-    BackpressurePolicy, ConcurrentEstimator, MaintainerMode, PushOutcome, ServeConfig,
+    BackpressurePolicy, ConcurrentEstimator, DurabilityConfig, MaintainerMode, PushOutcome,
+    ServeConfig,
 };
 use mlq_udfs::ExecutionCost;
 use std::sync::{mpsc, Arc};
@@ -336,6 +337,46 @@ fn step_is_refused_under_background_mode() {
     let svc = service(ServeConfig::default(), &["F"]);
     assert!(svc.step(8).is_err());
     svc.shutdown();
+}
+
+/// The journal commits once per non-empty step — one write and one sync
+/// — however many shards the step touched.
+#[test]
+fn journal_commits_once_per_step_not_once_per_shard() {
+    let dir = std::env::temp_dir().join(format!("mlq_det_journal_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let space = Space::cube(2, 0.0, 100.0).expect("space");
+    let durability = DurabilityConfig { checkpoint_every: 0, ..DurabilityConfig::new(&dir) };
+    let mut builder = ConcurrentEstimator::builder(manual_config());
+    for name in ["A", "B", "C"] {
+        builder = builder.register(name, &space).expect("register");
+    }
+    let svc = builder.with_durability_config(durability).build().expect("build");
+    let steps = 5u32;
+    for step in 0..steps {
+        for (i, name) in ["A", "B", "C"].iter().enumerate() {
+            let point = [f64::from(step) * 10.0, i as f64 * 30.0];
+            svc.observe(name, &point, cost(f64::from(step) + 1.0)).expect("observe");
+        }
+        assert_eq!(svc.step(64).expect("step"), 3);
+    }
+    assert_eq!(svc.step(64).expect("step"), 0, "an empty step commits nothing");
+
+    let m = svc.metrics();
+    assert_eq!(m.counter("mlq_serve_wal_commits"), Some(u64::from(steps)));
+    let commit_nanos = m.histogram("mlq_serve_wal_commit_nanos").expect("commit histogram");
+    assert_eq!(commit_nanos.count(), u64::from(steps));
+    assert!(m.counter("mlq_serve_wal_bytes").unwrap_or(0) > 0);
+    for name in ["A", "B", "C"] {
+        let label = format!("{{udf=\"{name}\"}}");
+        let appended = m.counter(&format!("mlq_serve_wal_appended_records{label}"));
+        assert_eq!(appended, Some(u64::from(steps)));
+        let synced = m.gauge(&format!("mlq_serve_wal_synced_seq{label}"));
+        assert_eq!(synced, Some(f64::from(steps)));
+        assert_eq!(svc.durable_seq(name).expect("durable seq"), u64::from(steps));
+    }
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

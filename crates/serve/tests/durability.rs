@@ -14,12 +14,13 @@
 //! `target/durability-diff/` for the CI artifact upload.
 
 use mlq_serve::{
-    ConcurrentEstimator, CrashOp, CrashPoint, DurabilityConfig, DurabilityStatus, MaintainerMode,
-    RestoreKind, RetryPolicy, ServeConfig, CRASH_OPS,
+    ConcurrentEstimator, CrashOp, CrashPoint, DurabilityConfig, DurabilityStatus, FleetConfig,
+    MaintainerMode, RestoreKind, RetryPolicy, ServeConfig, CRASH_OPS,
 };
 use mlq_storage::FaultConfig;
 use mlq_udfs::ExecutionCost;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -434,5 +435,229 @@ proptest! {
         let reference = reference_predictions(&stream, &counts);
         assert_equivalent(&format!("proptest_seed{seed}"), &recovered, &reference);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A durable Manual-mode service registering `names` in the given order.
+fn build_registered(
+    dir: &PathBuf,
+    names: &[&str],
+    checkpoint_every: u64,
+    crash: Option<CrashPoint>,
+    fleet: Option<FleetConfig>,
+) -> ConcurrentEstimator {
+    let mut dconfig = DurabilityConfig::new(dir);
+    dconfig.checkpoint_every = checkpoint_every;
+    dconfig.crash = crash;
+    let mut b = ConcurrentEstimator::builder(ServeConfig { fleet, ..serve_config() });
+    for name in names {
+        b = b.register(name, &space()).unwrap();
+    }
+    b.with_durability_config(dconfig).build().unwrap()
+}
+
+/// Recovered sequence number per shard, by name.
+fn recovered_seqs(svc: &ConcurrentEstimator) -> BTreeMap<String, u64> {
+    svc.recovery_report().shards.iter().map(|s| (s.name.clone(), s.recovered_seq)).collect()
+}
+
+/// Observations per shard in `stream`.
+fn fed_counts(stream: &[Obs]) -> Vec<u64> {
+    let mut fed = vec![0u64; NAMES.len()];
+    for o in stream {
+        fed[o.shard] += 1;
+    }
+    fed
+}
+
+/// Journal records name their shard through the journal's name table,
+/// not through registration order: a restart that registers the shards
+/// in reverse order plus a new shard sorting first (which shifts every
+/// shard's index) still routes every record home, and so does a second
+/// restart that registers only one of the three.
+#[test]
+fn reordered_and_added_shards_recover_every_record_exactly() {
+    let seed = harness_seed() ^ 0x0DE7;
+    let dir = temp_dir("reorder");
+    let stream = workload(seed, PHASE_A + PHASE_B);
+    // No periodic checkpoints, and a crash in the shutdown checkpoint:
+    // every record a run journals is still in the journal at restart.
+    let dies_at_shutdown = |shards: u32| {
+        Some(CrashPoint { op: CrashOp::CheckpointCpu, at: shards + 1, torn_bytes: 0 })
+    };
+
+    let svc = build_registered(&dir, &NAMES, 0, dies_at_shutdown(2), None);
+    feed(&svc, &stream[..PHASE_A]);
+    svc.shutdown();
+    assert_eq!(svc.durability_status(), DurabilityStatus::Crashed);
+
+    let svc = build_registered(&dir, &["BETA", "ALPHA", "AAA"], 0, dies_at_shutdown(3), None);
+    let first = fed_counts(&stream[..PHASE_A]);
+    let seqs = recovered_seqs(&svc);
+    assert_eq!((seqs["ALPHA"], seqs["BETA"], seqs["AAA"]), (first[0], first[1], 0));
+    let mut aaa_fed = 0u64;
+    for (i, chunk) in stream[PHASE_A..].chunks(CHUNK).enumerate() {
+        for o in chunk {
+            svc.observe(NAMES[o.shard], &o.point, o.cost).unwrap();
+        }
+        let x = 10.0 * i as f64;
+        let cost = ExecutionCost { cpu: 3.0 + x, io: 1.5, results: 2 };
+        svc.observe("AAA", &[x, 100.0 - x], cost).unwrap();
+        aaa_fed += 1;
+        svc.step(CHUNK + 1).unwrap();
+    }
+    let aaa_before: Vec<Option<u64>> =
+        probe_points().iter().map(|p| svc.predict("AAA", p).unwrap().map(f64::to_bits)).collect();
+    svc.shutdown();
+    assert_eq!(svc.durability_status(), DurabilityStatus::Crashed);
+
+    let svc = build_registered(&dir, &["BETA"], 0, None, None);
+    let all = fed_counts(&stream);
+    let seqs = recovered_seqs(&svc);
+    assert_eq!((seqs["ALPHA"], seqs["BETA"], seqs["AAA"]), (all[0], all[1], aaa_fed));
+    for shard in &svc.recovery_report().shards {
+        assert!(shard.replayed > 0, "shard {} replayed nothing: {}", shard.name, shard.detail);
+    }
+    let recovered = predictions(&svc);
+    let aaa_after: Vec<Option<u64>> =
+        probe_points().iter().map(|p| svc.predict("AAA", p).unwrap().map(f64::to_bits)).collect();
+    svc.shutdown();
+    assert_equivalent("reorder", &recovered, &reference_predictions(&stream, &all));
+    assert_eq!(aaa_after, aaa_before, "the added shard did not recover bit-identically");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory written by the per-shard journal layout (committed
+/// fixture: two shards, checkpoints covering 18 records each, and
+/// per-shard `{stem}.wal` tails past them) replays its legacy journals
+/// once, recovers bit-identically, and keeps no `{stem}.wal` afterwards.
+#[test]
+fn legacy_per_shard_journals_replay_once_and_are_deleted() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/testdata/legacy_journal");
+    let dir = temp_dir("legacy");
+    for entry in std::fs::read_dir(&fixture).unwrap().flatten() {
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let wal_files = |dir: &PathBuf| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".wal"))
+            .count()
+    };
+    assert_eq!(wal_files(&dir), NAMES.len());
+    // The fixture's writer fed this stream in 6-observation steps.
+    let stream = workload(0x1E6A, 48);
+    let fed = fed_counts(&stream);
+
+    let svc = build_durable(&dir, None);
+    assert_eq!(svc.durability_status(), DurabilityStatus::Active);
+    assert_eq!(wal_files(&dir), 0, "a legacy journal survived the startup checkpoint");
+    for (idx, name) in NAMES.iter().enumerate() {
+        let shard = svc.recovery_report().shards.iter().find(|s| s.name == *name).unwrap();
+        assert_eq!(shard.kind, RestoreKind::Restored, "{}", shard.detail);
+        assert_eq!(shard.checkpoint_seq, 18, "{}", shard.detail);
+        assert_eq!(shard.recovered_seq, fed[idx], "{}", shard.detail);
+        assert_eq!(shard.replayed, fed[idx] - 18);
+    }
+    let recovered = predictions(&svc);
+    svc.shutdown();
+    assert_equivalent("legacy", &recovered, &reference_predictions(&stream, &fed));
+
+    // The replayed records now live in a checkpoint: the next restart
+    // replays nothing and serves the same answers.
+    let svc = build_durable(&dir, None);
+    assert!(svc.recovery_report().shards.iter().all(|s| s.replayed == 0));
+    assert_equivalent("legacy_restart", &predictions(&svc), &recovered);
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hibernated shard does not pin the journal: checkpoint rounds write
+/// it from its spilled envelopes, so the journal still truncates while
+/// it sleeps with records no earlier checkpoint covers, and a restart
+/// after a crash recovers it from that checkpoint bit-identically to a
+/// twin that never had a fleet.
+#[test]
+fn hibernated_shard_is_checkpointed_and_does_not_pin_the_journal() {
+    let seed = harness_seed() ^ 0xF1EE7;
+    let dir = temp_dir("fleet");
+    let mut stream = workload(seed, 4 * CHUNK);
+    let fleet = FleetConfig { global_budget: 1 << 30, hibernate_after: 2 };
+    // Steps 1-4 feed both shards and end in a checkpoint round; step 5
+    // journals one more BETA record; steps 6-17 feed ALPHA only, keeping
+    // it hot, while BETA sleeps from step 6 through the checkpoint
+    // rounds of steps 8, 12 and 16. One commit per step, so the commit
+    // of step 18 dies.
+    let crash = CrashPoint { op: CrashOp::WalWrite, at: 18, torn_bytes: 0 };
+    let svc = build_registered(&dir, &NAMES, 4, Some(crash), Some(fleet));
+    feed(&svc, &stream);
+    let truncations =
+        |svc: &ConcurrentEstimator| svc.metrics().counter("mlq_serve_wal_truncations").unwrap_or(0);
+    let mut truncated_while_asleep = false;
+    for i in 0..14u32 {
+        let x = 7.0 * f64::from(i) + 3.0;
+        let o = Obs {
+            shard: usize::from(i == 0),
+            point: [x, 100.0 - x],
+            cost: ExecutionCost { cpu: 2.0 + x / 10.0, io: 1.0, results: 1 },
+        };
+        svc.observe(NAMES[o.shard], &o.point, o.cost).unwrap();
+        svc.predict(NAMES[0], &[50.0, 50.0]).unwrap();
+        let asleep = svc.is_hibernated(NAMES[1]).unwrap();
+        let before = truncations(&svc);
+        svc.step(CHUNK).unwrap();
+        truncated_while_asleep |=
+            asleep && svc.is_hibernated(NAMES[1]).unwrap() && truncations(&svc) > before;
+        stream.push(o);
+    }
+    assert!(svc.is_hibernated(NAMES[1]).unwrap(), "BETA never hibernated");
+    assert!(truncated_while_asleep, "no checkpoint round truncated the journal while BETA slept");
+    assert_eq!(svc.durability_status(), DurabilityStatus::Crashed);
+    let mut fed = fed_counts(&stream);
+    fed[0] -= 1; // the dying step's record was never acked
+    let acked: Vec<u64> = NAMES.iter().map(|n| svc.durable_seq(n).unwrap()).collect();
+    assert_eq!(acked, fed);
+    svc.shutdown();
+
+    let svc = build_durable(&dir, None);
+    let beta = svc.recovery_report().shards.iter().find(|s| s.name == NAMES[1]).unwrap();
+    assert_eq!(beta.checkpoint_seq, fed[1], "BETA's sleeping checkpoint missed records");
+    assert_eq!(beta.replayed, 0, "{}", beta.detail);
+    assert_eq!(recovered_seqs(&svc)[NAMES[0]], fed[0]);
+    let recovered = predictions(&svc);
+    svc.shutdown();
+    assert_equivalent("fleet", &recovered, &reference_predictions(&stream, &fed));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The crash sweep tests nothing at a point that never fires. Every
+/// crash operation must fire at its first and second occurrence in the
+/// sweep's dying run; the later occurrences are counted for the report.
+#[test]
+fn every_crash_op_fires_at_its_first_two_occurrences() {
+    let seed = harness_seed();
+    let mut fired: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+    for op in CRASH_OPS {
+        for at in [1u32, 2, 3, 5, 9] {
+            let dir = temp_dir(&format!("coverage_{op:?}_{at}"));
+            let stream = workload(seed, PHASE_A + PHASE_B);
+            let svc = build_durable(&dir, None);
+            feed(&svc, &stream[..PHASE_A]);
+            svc.shutdown();
+            let svc = build_durable(&dir, Some(CrashPoint { op, at, torn_bytes: 0 }));
+            feed(&svc, &stream[PHASE_A..]);
+            let crashed = svc.durability_status() == DurabilityStatus::Crashed;
+            svc.shutdown();
+            std::fs::remove_dir_all(&dir).ok();
+            let entry = fired.entry(format!("{op:?}")).or_default();
+            if crashed {
+                entry.push(at);
+            }
+        }
+    }
+    for op in CRASH_OPS {
+        let at = &fired[&format!("{op:?}")];
+        assert!(at.starts_with(&[1, 2]), "{op:?} fired only at {at:?}; all: {fired:?}");
     }
 }
