@@ -43,6 +43,10 @@ use std::collections::VecDeque;
 /// Signature of a structural-invariant check over the inner model.
 type InvariantCheck<M> = fn(&M) -> Result<(), String>;
 
+/// Accepted observations between periodic invariant checks, while the
+/// breaker is closed. The half-open → closed transition always checks.
+const CHECK_EVERY: u64 = 64;
+
 /// What to do with a feedback point whose coordinates fall outside the
 /// model space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,10 +78,6 @@ pub struct GuardConfig {
     pub probe_after: u32,
     /// Consecutive successful probes required to close again.
     pub probe_successes: u32,
-    /// Run the invariant check every this many accepted observations
-    /// (0 disables periodic checks; the half-open → closed transition
-    /// still checks).
-    pub check_every: u64,
     /// Consecutive quarantined observations treated as a cost-regime
     /// change rather than outliers: once a streak reaches this length
     /// the quarantine window is cleared and the triggering observation
@@ -101,7 +101,6 @@ impl Default for GuardConfig {
             trip_threshold: 3,
             probe_after: 16,
             probe_successes: 3,
-            check_every: 64,
             quarantine_streak: 64,
         }
     }
@@ -262,8 +261,8 @@ impl<M: CostModel> GuardedModel<M> {
         })
     }
 
-    /// Registers a structural-invariant check, run periodically (per
-    /// [`GuardConfig::check_every`]) and before closing a half-open
+    /// Registers a structural-invariant check, run every 64 accepted
+    /// observations while closed and before closing a half-open
     /// breaker. A failing check trips the breaker like an inner error.
     #[must_use]
     pub fn with_invariant_check(mut self, check: fn(&M) -> Result<(), String>) -> Self {
@@ -510,9 +509,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
                 match self.inner.observe(sanitized, actual) {
                     Ok(()) => {
                         self.consecutive_failures = 0;
-                        let every = self.config.check_every;
-                        if every > 0 && self.accepted.is_multiple_of(every) && !self.invariants_ok()
-                        {
+                        if self.accepted.is_multiple_of(CHECK_EVERY) && !self.invariants_ok() {
                             self.trip();
                         }
                     }

@@ -23,8 +23,8 @@ static NEXT_TREE_ID: AtomicU64 = AtomicU64::new(1);
 /// write burst exceeds this many path-node touches the log overflows and
 /// the next [`MemoryLimitedQuadtree::refreeze`] falls back to a full
 /// rebuild — correctness never depends on the log, only the incremental
-/// fast path does. A maintainer batch of 64 observations at the default
-/// `λ = 6` logs at most 64 × 7 entries, far under this.
+/// fast path does. At the default `λ = 6` an observation logs at most 7
+/// entries, so a step feeding one tree over ~290 observations rebuilds it.
 const DIRTY_LIMIT: usize = 2048;
 
 /// Bookkeeping that lets [`MemoryLimitedQuadtree::refreeze`] patch the

@@ -104,10 +104,9 @@ impl Default for FleetConfig {
 /// Tuning of a [`ConcurrentEstimator`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Bound of the feedback queue, in observations.
+    /// Bound of the feedback queue, in observations. A maintainer step
+    /// applies everything queued, so this also bounds one step.
     pub queue_capacity: usize,
-    /// Most observations the maintainer applies before republishing.
-    pub batch_max: usize,
     /// What producers do when the queue is full.
     pub backpressure: BackpressurePolicy,
     /// CPU-unit cost of one page read (see
@@ -129,7 +128,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 4096,
-            batch_max: 64,
             backpressure: BackpressurePolicy::Block,
             io_weight: 100.0,
             guard: GuardConfig::default(),
@@ -142,9 +140,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<(), MlqError> {
-        if self.queue_capacity == 0 || self.batch_max == 0 {
+        if self.queue_capacity == 0 {
             return Err(MlqError::InvalidConfig {
-                reason: "queue_capacity and batch_max must be nonzero".into(),
+                reason: "queue_capacity must be nonzero".into(),
             });
         }
         if !self.io_weight.is_finite() || self.io_weight < 0.0 {
@@ -779,7 +777,6 @@ struct MaintainerCore {
     touched: Vec<bool>,
     last_publish: Vec<Instant>,
     io_weight: f64,
-    batch_max: usize,
     processed: Arc<Progress>,
     obs: MaintainerObs,
     trace: Option<Arc<TraceRing>>,
@@ -1431,7 +1428,6 @@ impl ConcurrentEstimatorBuilder {
             touched: vec![false; shard_count],
             last_publish: vec![Instant::now(); shard_count],
             io_weight: config.io_weight,
-            batch_max: config.batch_max,
             processed: Arc::clone(&processed),
             obs: MaintainerObs::new(&registry),
             trace,
@@ -1451,9 +1447,9 @@ impl ConcurrentEstimatorBuilder {
                     .spawn(move || loop {
                         // Wait outside the lock, so readers waking a
                         // shard and replication calls only ever contend
-                        // with an applying batch.
-                        let (batch, finished) =
-                            queue.drain(config.batch_max, Duration::from_millis(20));
+                        // with an applying batch. A step takes everything
+                        // queued, so a backlog costs one publish.
+                        let (batch, finished) = queue.drain(usize::MAX, Duration::from_millis(20));
                         if finished {
                             break;
                         }
@@ -1838,6 +1834,8 @@ impl ConcurrentEstimator {
     /// observations, applies them, republishes touched shards, and runs
     /// one fleet arbitration round on the calling thread. Returns how
     /// many observations were applied (zero when the queue was empty).
+    /// The service adds no bound of its own: `step(usize::MAX)` applies
+    /// everything queued, at most [`ServeConfig::queue_capacity`].
     ///
     /// # Errors
     ///
@@ -1972,13 +1970,8 @@ impl ConcurrentEstimator {
         // reader waking a shard meanwhile waits for the live snapshot.
         let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
         let core = guard.as_mut()?;
-        loop {
-            let (batch, finished) = self.queue.drain(core.batch_max, Duration::ZERO);
-            if finished {
-                break;
-            }
-            core.apply_batch(batch, &self.published);
-        }
+        let (batch, _finished) = self.queue.drain(usize::MAX, Duration::ZERO);
+        core.apply_batch(batch, &self.published);
         core.final_publish(&self.published);
         *guard = None;
         Some(ServeReport {

@@ -50,8 +50,7 @@ fn readers_never_observe_a_torn_model() {
 
     let names: Vec<String> = (0..SHARDS).map(|i| format!("UDF{i}")).collect();
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let svc =
-        service(ServeConfig { batch_max: 7, io_weight: 100.0, ..ServeConfig::default() }, &refs);
+    let svc = service(ServeConfig { io_weight: 100.0, ..ServeConfig::default() }, &refs);
     // Shard i always observes cpu = 10(i+1), io = i+1.
     let expected: Vec<f64> = (0..SHARDS)
         .map(|i| {
@@ -112,16 +111,13 @@ fn readers_never_observe_a_torn_model() {
 }
 
 /// Everything admitted before shutdown is applied — even feedback still
-/// sitting in the queue when shutdown begins.
+/// sitting in the queue when shutdown begins. How much is still queued
+/// then (all, some or none of the writes) depends on how the background
+/// maintainer was scheduled; the assertions hold for every split.
 #[test]
 fn shutdown_flushes_all_queued_feedback() {
     const WRITES: usize = 1000;
-    let svc = service(
-        // A tiny batch keeps the maintainer busy so the queue is nonempty
-        // at shutdown.
-        ServeConfig { batch_max: 3, ..ServeConfig::default() },
-        &["F"],
-    );
+    let svc = service(ServeConfig::default(), &["F"]);
     for w in 0..WRITES {
         let p = [(w % 101) as f64, ((w * 31) % 101) as f64];
         // Constant honest cost: nothing should be quarantined.
@@ -148,7 +144,6 @@ fn drop_oldest_flood_stays_consistent() {
     let svc = service(
         ServeConfig {
             queue_capacity: 16,
-            batch_max: 4,
             backpressure: BackpressurePolicy::DropOldest,
             ..ServeConfig::default()
         },
@@ -278,7 +273,6 @@ fn drop_oldest_flood_accounting_balances_exactly() {
     let svc = service(
         ServeConfig {
             queue_capacity: 32,
-            batch_max: 16,
             backpressure: BackpressurePolicy::DropOldest,
             ..ServeConfig::default()
         },

@@ -20,7 +20,7 @@ use mlq_serve::{
 use mlq_storage::FaultConfig;
 use mlq_udfs::ExecutionCost;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -210,6 +210,9 @@ fn run_crash_case(seed: u64, crash: CrashPoint, tag: &str) {
         svc.predict(name, &[50.0, 50.0]).unwrap();
     }
     svc.shutdown();
+    // Every planned crash fires, during the run or its shutdown
+    // checkpoint; a case that never crashes tests nothing.
+    assert_eq!(svc.durability_status(), DurabilityStatus::Crashed, "{tag}: crash never fired");
 
     // Phase C: recovery.
     let svc = build_durable(&dir, None);
@@ -239,16 +242,47 @@ fn run_crash_case(seed: u64, crash: CrashPoint, tag: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The crash sweep: every crash operation, at several occurrences (the
-/// low ones land in startup recovery, the higher ones in steady state),
-/// with torn-write cuts for the journal write. Recovery must be exact
+/// How often each crash operation runs in an uncrashed phase A + B run
+/// of `seed`'s workload, startup and shutdown included, read from the
+/// durability counters: every commit passes the `WalWrite` and `WalSync`
+/// hooks once, every shard checkpoint the three checkpoint hooks once,
+/// every truncation the `WalTruncate` hook once.
+fn crash_op_occurrences(seed: u64) -> impl Fn(CrashOp) -> u32 {
+    let dir = temp_dir("occurrences");
+    let stream = workload(seed, PHASE_A + PHASE_B);
+    let svc = build_durable(&dir, None);
+    feed(&svc, &stream[..PHASE_A]);
+    svc.shutdown();
+    let svc = build_durable(&dir, None);
+    feed(&svc, &stream[PHASE_A..]);
+    let m = svc.shutdown().unwrap().metrics;
+    std::fs::remove_dir_all(&dir).ok();
+    let count = |name: &str| u32::try_from(m.counter(name).unwrap_or(0)).unwrap();
+    let commits = count("mlq_serve_wal_commits");
+    let checkpoints =
+        NAMES.iter().map(|n| count(&format!("mlq_serve_checkpoints{{udf=\"{n}\"}}"))).sum();
+    let truncations = count("mlq_serve_wal_truncations");
+    move |op| match op {
+        CrashOp::WalWrite | CrashOp::WalSync => commits,
+        CrashOp::CheckpointCpu | CrashOp::CheckpointIo | CrashOp::CheckpointMeta => checkpoints,
+        CrashOp::WalTruncate => truncations,
+    }
+}
+
+/// The crash sweep: every crash operation at its first, second, middle
+/// and last occurrence in the dying run (the first checkpoints are the
+/// startup ones, the last the shutdown one), with torn-write cuts for
+/// the journal write. Every case must crash, and recovery must be exact
 /// after every single one.
 #[test]
 fn every_crash_point_recovers_the_acked_prefix_exactly() {
     let seed = harness_seed();
+    let occurrences = crash_op_occurrences(seed);
     for op in CRASH_OPS {
         let torn_cuts: &[usize] = if op == CrashOp::WalWrite { &[0, 9, 57] } else { &[0] };
-        for at in [1u32, 2, 3, 5, 9] {
+        let last = occurrences(op);
+        assert!(last >= 2, "{op:?} runs only {last} times");
+        for at in BTreeSet::from([1, 2, last.div_ceil(2), last]) {
             for &torn_bytes in torn_cuts {
                 let crash = CrashPoint { op, at, torn_bytes };
                 let tag = format!("seed{seed}_{op:?}_at{at}_torn{torn_bytes}");
@@ -629,35 +663,4 @@ fn hibernated_shard_is_checkpointed_and_does_not_pin_the_journal() {
     svc.shutdown();
     assert_equivalent("fleet", &recovered, &reference_predictions(&stream, &fed));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The crash sweep tests nothing at a point that never fires. Every
-/// crash operation must fire at its first and second occurrence in the
-/// sweep's dying run; the later occurrences are counted for the report.
-#[test]
-fn every_crash_op_fires_at_its_first_two_occurrences() {
-    let seed = harness_seed();
-    let mut fired: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    for op in CRASH_OPS {
-        for at in [1u32, 2, 3, 5, 9] {
-            let dir = temp_dir(&format!("coverage_{op:?}_{at}"));
-            let stream = workload(seed, PHASE_A + PHASE_B);
-            let svc = build_durable(&dir, None);
-            feed(&svc, &stream[..PHASE_A]);
-            svc.shutdown();
-            let svc = build_durable(&dir, Some(CrashPoint { op, at, torn_bytes: 0 }));
-            feed(&svc, &stream[PHASE_A..]);
-            let crashed = svc.durability_status() == DurabilityStatus::Crashed;
-            svc.shutdown();
-            std::fs::remove_dir_all(&dir).ok();
-            let entry = fired.entry(format!("{op:?}")).or_default();
-            if crashed {
-                entry.push(at);
-            }
-        }
-    }
-    for op in CRASH_OPS {
-        let at = &fired[&format!("{op:?}")];
-        assert!(at.starts_with(&[1, 2]), "{op:?} fired only at {at:?}; all: {fired:?}");
-    }
 }
