@@ -1,10 +1,11 @@
 //! Microbenchmarks of the three MLQ operations whose costs the paper's
 //! Experiment 2 reports: prediction (APC numerator), insertion, and
-//! compression (AUC numerators).
+//! compression (AUC numerators), plus the guarded observe that wraps
+//! insertion on the served write path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlq_bench::{standard_model, standard_workload};
-use mlq_core::{InsertionStrategy, MemoryLimitedQuadtree};
+use mlq_core::{CostModel, GuardConfig, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree};
 use std::hint::black_box;
 
 fn bench_predict(c: &mut Criterion) {
@@ -104,5 +105,42 @@ fn bench_compress_at_budget(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_predict, bench_insert, bench_compress, bench_compress_at_budget);
+/// Observations per timed sample of [`bench_guarded_observe_at_budget`].
+const GUARDED_BATCH: usize = 256;
+
+/// The served write path's per-observation model work: a guarded 4-D
+/// lazy tree (`α = 0.05`, 64 KiB) at its budget, timed over
+/// [`GUARDED_BATCH`] observations per sample — the guard's screen, the
+/// insert, any compression it triggers, and the guard's invariant
+/// check. Every eighth cost is inflated 1000×, so the batch mixes
+/// accepted and quarantined feedback.
+fn bench_guarded_observe_at_budget(c: &mut Criterion) {
+    let (points, actuals) = standard_workload(20_000, 15);
+    let tree = standard_model(64 << 10, InsertionStrategy::Lazy { alpha: 0.05 });
+    let mut guard = GuardedModel::for_quadtree(tree, GuardConfig::default()).expect("valid guard");
+    let cost = |i: usize| if i.is_multiple_of(8) { actuals[i] * 1000.0 } else { actuals[i] };
+    // Fill to the budget: stop after the first compression.
+    let mut next = 0;
+    while !guard.inner().has_compressed() {
+        let _ = guard.observe(&points[next], cost(next));
+        next += 1;
+    }
+    c.bench_function("mlq_guarded_observe_at_budget", |b| {
+        b.iter(|| {
+            for _ in 0..GUARDED_BATCH {
+                let _ = black_box(guard.observe(black_box(&points[next]), cost(next)));
+                next = (next + 1) % points.len();
+            }
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_predict,
+    bench_insert,
+    bench_compress,
+    bench_compress_at_budget,
+    bench_guarded_observe_at_budget
+);
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //! compressing one tree is fleet eviction over a single model of
 //! weight 1.0.
 
-use crate::fleet::{evict_pass, FleetModel};
+use crate::fleet::{evict_pass_observed, FleetModel};
 use crate::tree::MemoryLimitedQuadtree;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -83,6 +83,16 @@ impl MemoryLimitedQuadtree {
     /// is exceeded; public so callers can shrink a model eagerly (e.g.
     /// before serializing optimizer metadata).
     pub fn compress(&mut self) -> CompressionReport {
+        self.compress_noting(None)
+    }
+
+    /// [`Self::compress`], appending the parent of every evicted leaf to
+    /// `evicted_parents` when one is given (for [`Self::insert`]'s record
+    /// of what it changed).
+    pub(crate) fn compress_noting(
+        &mut self,
+        mut evicted_parents: Option<&mut Vec<u32>>,
+    ) -> CompressionReport {
         let start = std::time::Instant::now();
         let budget = self.config().memory_budget;
         let gamma_target = (self.config().gamma * budget as f64).ceil() as usize;
@@ -91,8 +101,16 @@ impl MemoryLimitedQuadtree {
         // `(SSEG, root path)`. Line 2 frees at least `γ` of the budget,
         // with the operational extension that the pass also keeps going
         // until the tree actually fits its budget again.
-        let report =
-            evict_pass(&mut [FleetModel { weight: 1.0, model: self }], budget, gamma_target);
+        let report = evict_pass_observed(
+            &mut [FleetModel { weight: 1.0, model: self }],
+            budget,
+            gamma_target,
+            |_, m, leaf| {
+                if let Some(parents) = evicted_parents.as_deref_mut() {
+                    parents.push(m.arena.get(leaf).parent);
+                }
+            },
+        );
 
         // A compression has now happened, whatever triggered it: the lazy
         // strategy's SSE threshold (Eq. 7) is in force from here on.

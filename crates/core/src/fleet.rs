@@ -264,7 +264,7 @@ pub(crate) fn evict_pass(
 
 /// [`evict_pass`], calling `on_evict(model index, model, leaf)` just
 /// before each leaf is evicted.
-fn evict_pass_observed(
+pub(crate) fn evict_pass_observed(
     models: &mut [FleetModel<'_>],
     budget: usize,
     min_freed: usize,

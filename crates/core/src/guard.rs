@@ -19,13 +19,15 @@
 //!    outliers — unlike mean/stddev screening, which the outliers
 //!    themselves would inflate.)
 //! 3. **Circuit breaker** — repeated inner-model failures on *valid*
-//!    input, or a failed structural-invariant check, trip the guard
-//!    [`BreakerState::Open`]. While open, predictions degrade to a cheap
-//!    running-average fallback (the global mean of every accepted cost)
-//!    and the inner model is left untouched. After `probe_after` guarded
+//!    input, or one failed structural-invariant check, trip the guard
+//!    [`BreakerState::Open`]. A cheap check of what an observation
+//!    changed runs after every observation the inner model accepts.
+//!    While open, predictions degrade to a cheap running-average
+//!    fallback (the global mean of every accepted cost) and the inner
+//!    model is left untouched. After `probe_after` guarded
 //!    operations the breaker goes [`BreakerState::HalfOpen`] and probes
 //!    the inner model again; `probe_successes` consecutive successes
-//!    (plus a passing invariant check) close it.
+//!    (plus a passing check of the whole model) close it.
 //!
 //! The guard's own state — breaker state and per-layer counters — is
 //! observable through [`GuardedModel::state`] and
@@ -42,10 +44,6 @@ use std::collections::VecDeque;
 
 /// Signature of a structural-invariant check over the inner model.
 type InvariantCheck<M> = fn(&M) -> Result<(), String>;
-
-/// Accepted observations between periodic invariant checks, while the
-/// breaker is closed. The half-open → closed transition always checks.
-const CHECK_EVERY: u64 = 64;
 
 /// What to do with a feedback point whose coordinates fall outside the
 /// model space.
@@ -216,7 +214,11 @@ pub struct GuardedModel<M: CostModel> {
     inner: M,
     space: Space,
     config: GuardConfig,
-    check: Option<InvariantCheck<M>>,
+    /// Checks what one accepted observation changed; run after each one
+    /// the inner model takes.
+    observe_check: Option<InvariantCheck<M>>,
+    /// Checks the whole model; run before a half-open breaker closes.
+    full_check: Option<InvariantCheck<M>>,
     state: BreakerState,
     /// Recently accepted costs, with their sorted mirror.
     window: CostWindow,
@@ -246,7 +248,8 @@ impl<M: CostModel> GuardedModel<M> {
             inner,
             space,
             config,
-            check: None,
+            observe_check: None,
+            full_check: None,
             state: BreakerState::Closed,
             window: CostWindow::with_capacity(config.window),
             fallback: Summary::empty(),
@@ -261,12 +264,20 @@ impl<M: CostModel> GuardedModel<M> {
         })
     }
 
-    /// Registers a structural-invariant check, run every 64 accepted
-    /// observations while closed and before closing a half-open
-    /// breaker. A failing check trips the breaker like an inner error.
+    /// Registers the structural-invariant checks: `observe_check`, run
+    /// after every observation the inner model accepts (closed or
+    /// half-open), should check what that observation changed;
+    /// `full_check`, run before a half-open breaker closes, checks the
+    /// whole model. A failing check counts one invariant failure and
+    /// trips the breaker at once.
     #[must_use]
-    pub fn with_invariant_check(mut self, check: fn(&M) -> Result<(), String>) -> Self {
-        self.check = Some(check);
+    pub fn with_invariant_checks(
+        mut self,
+        observe_check: InvariantCheck<M>,
+        full_check: InvariantCheck<M>,
+    ) -> Self {
+        self.observe_check = Some(observe_check);
+        self.full_check = Some(full_check);
         self
     }
 
@@ -400,18 +411,24 @@ impl<M: CostModel> GuardedModel<M> {
         if self.window.len() < self.config.min_window {
             return None;
         }
-        let (median, mad) = self.window.median_mad();
-        // 1.4826 scales MAD to the stddev of a Gaussian; the relative and
-        // absolute floors keep a near-constant window (MAD ≈ 0) from
-        // quarantining routine jitter.
-        let scale = (1.4826 * mad).max(0.05 * median.abs()).max(1e-9);
+        let median = self.window.median();
+        // The relative and absolute floors keep a near-constant window
+        // (MAD ≈ 0) from quarantining routine jitter. They bound `scale`
+        // from below, so a cost within `mad_k` floors of the median passes
+        // whatever the MAD is, and the MAD need not be found.
+        let floor = (0.05 * median.abs()).max(1e-9);
         let distance = (cost - median).abs();
+        if distance <= self.config.mad_k * floor {
+            return None;
+        }
+        // 1.4826 scales MAD to the stddev of a Gaussian.
+        let scale = (1.4826 * self.window.mad(median)).max(floor);
         (distance > self.config.mad_k * scale).then_some(self.config.mad_k * scale)
     }
 
-    /// Runs the registered invariant check, counting failures.
-    fn invariants_ok(&mut self) -> bool {
-        match self.check {
+    /// Runs `check`, if registered, counting a failure.
+    fn invariants_ok(&mut self, check: Option<InvariantCheck<M>>) -> bool {
+        match check {
             None => true,
             Some(f) => match f(&self.inner) {
                 Ok(()) => true,
@@ -509,7 +526,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
                 match self.inner.observe(sanitized, actual) {
                     Ok(()) => {
                         self.consecutive_failures = 0;
-                        if self.accepted.is_multiple_of(CHECK_EVERY) && !self.invariants_ok() {
+                        if !self.invariants_ok(self.observe_check) {
                             self.trip();
                         }
                     }
@@ -535,9 +552,13 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
                 self.counters.probes += 1;
                 match self.inner.observe(sanitized, actual) {
                     Ok(()) => {
+                        if !self.invariants_ok(self.observe_check) {
+                            self.trip();
+                            return Ok(());
+                        }
                         self.half_open_successes += 1;
                         if self.half_open_successes >= self.config.probe_successes {
-                            if self.invariants_ok() {
+                            if self.invariants_ok(self.full_check) {
                                 self.state = BreakerState::Closed;
                                 self.consecutive_failures = 0;
                             } else {
@@ -645,16 +666,20 @@ impl CostWindow {
         (self.recent.capacity() + self.sorted.capacity()) * std::mem::size_of::<f64>()
     }
 
-    /// The median `sorted[n/2]` and the MAD, the `n/2`-th smallest
-    /// `|x − median|`, of a non-empty window. Walking outward from the
+    /// The median `sorted[n/2]` of a non-empty window.
+    fn median(&self) -> f64 {
+        self.sorted[self.sorted.len() / 2]
+    }
+
+    /// The MAD, the `n/2`-th smallest `|x − median|`, of a non-empty
+    /// window given its [`Self::median`]. Walking outward from the
     /// median, the deviations of `sorted[n/2..]` and of `sorted[..n/2]`
     /// (taken right to left) are each non-decreasing — float subtraction
     /// rounds monotonically — so a two-way merge of the two runs reaches
     /// the same order statistic as sorting every deviation, bit for bit.
-    fn median_mad(&self) -> (f64, f64) {
+    fn mad(&self, median: f64) -> f64 {
         let sorted = &self.sorted;
         let mid = sorted.len() / 2;
-        let median = sorted[mid];
         let deviation = |i: usize| (sorted[i] - median).abs();
         // `left` is one past the next left-run index, `right` the next
         // right-run index.
@@ -671,12 +696,15 @@ impl CostWindow {
                 deviation(right - 1)
             };
         }
-        (median, mad)
+        mad
     }
 }
 
 impl GuardedModel<MemoryLimitedQuadtree> {
-    /// Wraps a quadtree with its structural invariant check pre-wired.
+    /// Wraps a quadtree with its structural invariant checks pre-wired:
+    /// [`MemoryLimitedQuadtree::check_last_insert`] after every accepted
+    /// observation and the full [`MemoryLimitedQuadtree::check_invariants`]
+    /// walk before a half-open breaker closes.
     ///
     /// # Errors
     ///
@@ -686,8 +714,10 @@ impl GuardedModel<MemoryLimitedQuadtree> {
         config: GuardConfig,
     ) -> Result<Self, MlqError> {
         let space = inner.config().space.clone();
-        Ok(GuardedModel::new(inner, space, config)?
-            .with_invariant_check(MemoryLimitedQuadtree::check_invariants))
+        Ok(GuardedModel::new(inner, space, config)?.with_invariant_checks(
+            MemoryLimitedQuadtree::check_last_insert,
+            MemoryLimitedQuadtree::check_invariants,
+        ))
     }
 }
 
@@ -751,6 +781,35 @@ mod tests {
         a.map(f64::to_bits) == b.map(f64::to_bits)
     }
 
+    /// The next float above finite `x` (what `f64::next_up` returns).
+    fn next_up(x: f64) -> f64 {
+        if x == 0.0 {
+            return f64::from_bits(1);
+        }
+        let bits = x.to_bits();
+        f64::from_bits(if x > 0.0 { bits + 1 } else { bits - 1 })
+    }
+
+    /// The next float below finite `x` (what `f64::next_down` returns).
+    fn next_down(x: f64) -> f64 {
+        -next_up(-x)
+    }
+
+    /// Probes at the median-first early accept's edge,
+    /// `median ± mad_k·max(0.05·|median|, 1e-9)`, and one float to
+    /// either side of each, where the screen hands over to the MAD.
+    fn edge_probes<M: CostModel>(g: &GuardedModel<M>) -> Vec<f64> {
+        if g.window.len() == 0 {
+            return Vec::new();
+        }
+        let median = g.window.median();
+        let reach = g.config.mad_k * (0.05 * median.abs()).max(1e-9);
+        [median - reach, median + reach]
+            .into_iter()
+            .flat_map(|edge| [next_down(edge), edge, next_up(edge)])
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -773,7 +832,7 @@ mod tests {
             for op in ops {
                 match op {
                     WindowOp::Observe(cost) => {
-                        for probe in [cost, -cost, 0.0, 1e12] {
+                        for probe in [cost, -cost, 0.0, 1e12].into_iter().chain(edge_probes(&g)) {
                             let fast = g.quarantine_threshold(probe);
                             let slow = reference_threshold(&g, probe);
                             prop_assert!(
@@ -1069,6 +1128,123 @@ mod tests {
         assert!(g.predict(&[55.0, 55.0]).unwrap().is_some());
         assert!(g.name().starts_with("guarded("));
         assert!(g.memory_used() > g.inner().memory_used());
+    }
+
+    /// A guarded 2-D lazy quadtree with `budget` bytes, fed `n` accepted
+    /// observations from [`honest_stream`].
+    fn guarded_tree(budget: usize, n: usize) -> GuardedModel<MemoryLimitedQuadtree> {
+        let config = MlqConfig::builder(space2())
+            .memory_budget(budget)
+            .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
+            .build()
+            .unwrap();
+        let tree = MemoryLimitedQuadtree::new(config).unwrap();
+        let mut g = GuardedModel::for_quadtree(tree, GuardConfig::default()).unwrap();
+        for i in 0..n {
+            let (point, cost) = honest_stream(i);
+            g.observe(&point, cost).unwrap();
+        }
+        assert!(g.is_healthy());
+        g
+    }
+
+    /// Observation `i` of a spread-out stream whose costs the screen
+    /// always accepts.
+    fn honest_stream(i: usize) -> ([f64; 2], f64) {
+        let x = (i * 37 % 100) as f64 + 0.5;
+        let y = (i * 61 % 100) as f64 + 0.5;
+        ([x, y], 5.0 + (i % 4) as f64)
+    }
+
+    /// Feeds `g` observation `i`, which must be accepted, and asserts it
+    /// counted exactly one invariant failure and tripped the breaker.
+    fn assert_next_observation_trips(g: &mut GuardedModel<MemoryLimitedQuadtree>, i: usize) {
+        let before = g.counters();
+        let (point, cost) = honest_stream(i);
+        g.observe(&point, cost).unwrap();
+        let after = g.counters();
+        assert_eq!(after.quarantined, before.quarantined, "the observation was accepted");
+        assert_eq!(after.invariant_failures, before.invariant_failures + 1);
+        assert_eq!(after.trips, before.trips + 1);
+        assert_eq!(g.state(), BreakerState::Open);
+    }
+
+    #[test]
+    fn path_count_above_parent_trips_on_the_next_observation() {
+        let mut g = guarded_tree(1 << 16, 40);
+        let (point, _) = honest_stream(40);
+        let tree = g.inner_mut();
+        let grid = tree.config().space.grid_point(&point).unwrap();
+        let root = tree.root;
+        let child = tree.arena.get(root).child(grid.child_slot(0)).expect("a populated quadrant");
+        // The next insert adds one to both counts, so the child stays over.
+        tree.arena.get_mut(child).summary.count = tree.arena.get(root).summary.count + 10;
+        assert_next_observation_trips(&mut g, 40);
+    }
+
+    #[test]
+    fn n_children_mismatch_on_an_evicted_leafs_parent_trips_on_the_next_observation() {
+        // Fill to the budget, then find an insert whose compression evicts
+        // a leaf from a node that survives the pass.
+        let budget = MlqConfig::min_budget(&space2(), 6) + 512;
+        let mut g = guarded_tree(budget, 0);
+        for i in 0..2000 {
+            let before = g.inner();
+            let mut probe = before.clone();
+            let (point, cost) = honest_stream(i);
+            let compressed = probe.insert(&point, cost).unwrap().compression.is_some();
+            let victim = probe.last_insert.changed.iter().copied().find(|&idx| {
+                before.arena.is_live(idx)
+                    && probe.arena.is_live(idx)
+                    && probe.arena.get(idx).n_children < before.arena.get(idx).n_children
+            });
+            if let (true, Some(victim)) = (compressed, victim) {
+                g.inner_mut().arena.get_mut(victim).n_children += 1;
+                assert_next_observation_trips(&mut g, i);
+                return;
+            }
+            g.observe(&point, cost).unwrap();
+            assert!(g.is_healthy());
+        }
+        panic!("no compression evicted a leaf from a surviving parent");
+    }
+
+    #[test]
+    fn bytes_over_budget_trip_on_the_next_observation() {
+        let budget = 1 << 14;
+        let mut g = guarded_tree(budget, 40);
+        // Even compressing down to the root cannot bring this under budget.
+        g.inner_mut().bytes_used += 4 * budget;
+        assert_next_observation_trips(&mut g, 40);
+    }
+
+    #[test]
+    fn whole_tree_faults_reopen_a_half_open_breaker_at_the_closing_probe() {
+        let corruptions: [fn(&mut MemoryLimitedQuadtree); 2] = [
+            |tree| {
+                let root = tree.root;
+                tree.arena.alloc(crate::node::Node::new(root, 0, 1));
+            },
+            |tree| tree.bytes_used += 1,
+        ];
+        for corrupt in corruptions {
+            let mut g = guarded_tree(1 << 16, 40);
+            let mut state = g.export_state();
+            state.breaker = BreakerState::HalfOpen;
+            g.import_state(state);
+            corrupt(g.inner_mut());
+            // The per-observation check cannot see an orphan or a skewed
+            // total, so the probes before the last one succeed...
+            let probes = g.config.probe_successes as usize;
+            for i in 40..40 + probes - 1 {
+                let (point, cost) = honest_stream(i);
+                g.observe(&point, cost).unwrap();
+                assert_eq!(g.state(), BreakerState::HalfOpen);
+            }
+            assert_eq!(g.counters().invariant_failures, 0);
+            // ...and the whole-tree walk before closing re-trips instead.
+            assert_next_observation_trips(&mut g, 40 + probes - 1);
+        }
     }
 
     #[test]

@@ -108,6 +108,12 @@ impl Arena {
         self.free.push(idx);
     }
 
+    /// True while `idx` names an allocated, not yet freed slot.
+    #[inline]
+    pub(crate) fn is_live(&self, idx: u32) -> bool {
+        self.freed.get(idx as usize).is_some_and(|&freed| !freed)
+    }
+
     #[inline]
     pub(crate) fn get(&self, idx: u32) -> &Node {
         &self.nodes[idx as usize]

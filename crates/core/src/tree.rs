@@ -50,6 +50,20 @@ pub(crate) struct FreezeState {
     pub(crate) map_built: bool,
 }
 
+/// What the most recent [`MemoryLimitedQuadtree::insert`] changed, kept
+/// for [`MemoryLimitedQuadtree::check_last_insert`]: the grid point it
+/// descended to, and the nodes whose child arrays it created a child in
+/// or its compression evicted a leaf from (sorted and deduplicated after
+/// a compression; some may since have been freed). The buffer is reused
+/// across inserts, so recording allocates nothing at steady state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LastInsert {
+    /// The inserted point on the grid; `None` before the first insert.
+    pub(crate) grid: Option<GridPoint>,
+    /// Arena indices of the nodes whose child arrays changed.
+    pub(crate) changed: Vec<u32>,
+}
+
 /// What one insertion did to the tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InsertOutcome {
@@ -91,6 +105,8 @@ pub struct MemoryLimitedQuadtree {
     pub(crate) structure_epoch: u64,
     /// Incremental-refreeze bookkeeping (see [`FreezeState`]).
     freeze_state: RefCell<FreezeState>,
+    /// What the last insert changed (see [`LastInsert`]).
+    pub(crate) last_insert: LastInsert,
 }
 
 impl MemoryLimitedQuadtree {
@@ -121,6 +137,7 @@ impl MemoryLimitedQuadtree {
             tree_id: NEXT_TREE_ID.fetch_add(1, Ordering::Relaxed),
             structure_epoch: 0,
             freeze_state: RefCell::new(FreezeState::default()),
+            last_insert: LastInsert::default(),
         })
     }
 
@@ -264,6 +281,8 @@ impl MemoryLimitedQuadtree {
         }
         let grid = self.config.space.grid_point(point)?;
         let start = Instant::now();
+        self.last_insert.grid = Some(grid);
+        self.last_insert.changed.clear();
 
         // Line 2 of Fig. 4: update the root, then derive the threshold —
         // the root's SSE reflects the new point.
@@ -294,6 +313,7 @@ impl MemoryLimitedQuadtree {
                 Some(c) => c,
                 None => {
                     nodes_created += 1;
+                    self.last_insert.changed.push(cn);
                     self.create_child(cn, slot)
                 }
             };
@@ -306,8 +326,17 @@ impl MemoryLimitedQuadtree {
             .note_insert(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX), lazy_skip);
 
         // "Compression is triggered when the memory limit is reached."
-        // `compress()` accounts its own time and evictions.
-        let compression = (self.bytes_used > self.config.memory_budget).then(|| self.compress());
+        // The pass accounts its own time and evictions, and notes the
+        // parent of every leaf it evicts.
+        let compression = (self.bytes_used > self.config.memory_budget).then(|| {
+            let mut changed = std::mem::take(&mut self.last_insert.changed);
+            let report = self.compress_noting(Some(&mut changed));
+            // One check per changed array, however many children it lost.
+            changed.sort_unstable();
+            changed.dedup();
+            self.last_insert.changed = changed;
+            report
+        });
 
         Ok(InsertOutcome { nodes_created, depth_reached, compression })
     }
@@ -448,6 +477,8 @@ impl MemoryLimitedQuadtree {
         self.had_compression = false;
         self.counters.store(ModelCounters::default());
         self.bump_structure_epoch();
+        self.last_insert.grid = None;
+        self.last_insert.changed.clear();
         // Stale arena indices in the dirty log / BFS map would point into
         // the discarded arena; drop them with it.
         let mut state = self.freeze_state.borrow_mut();
