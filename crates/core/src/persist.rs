@@ -1,4 +1,4 @@
-//! Model persistence: snapshot, restore, and a crash-safe on-disk format.
+//! Model persistence: snapshot, restore, and a checksummed byte format.
 //!
 //! A query optimizer keeps its statistics in the catalog so they survive
 //! restarts; a self-tuning cost model is only useful if what it learned
@@ -57,14 +57,12 @@
 //! whose payload is the JSON-serialized [`TreeSnapshot`], are still read
 //! but no longer written.
 //!
-//! [`MemoryLimitedQuadtree::save_to_file`] writes the envelope to a
-//! sibling temporary file and atomically renames it over the target, so
-//! a crash mid-write leaves the previous snapshot intact. The restore
-//! path ([`MemoryLimitedQuadtree::restore`] /
-//! [`MemoryLimitedQuadtree::restore_from_file`]) verifies the checksum,
-//! rebuilds the tree, re-runs the structural invariant checker, and
-//! reports what happened as a typed [`RestoreOutcome`] — falling back to
-//! a fresh model rather than failing the caller when the snapshot is bad.
+//! [`MemoryLimitedQuadtree::restore`] verifies the checksum, rebuilds
+//! the tree, re-runs the structural invariant checker, and reports what
+//! happened as a typed [`RestoreOutcome`] — falling back to a fresh model
+//! rather than failing the caller when the snapshot is bad. Writing the
+//! bytes to disk crash-safely is the caller's job (`mlq-serve`'s
+//! checkpoints write a temporary, sync it and rename it into place).
 
 use crate::config::{InsertionStrategy, MlqConfig};
 use crate::error::MlqError;
@@ -72,14 +70,12 @@ use crate::node::NIL;
 use crate::space::{Space, MAX_DIMS};
 use crate::summary::Summary;
 use crate::tree::MemoryLimitedQuadtree;
-use serde::{Deserialize, Serialize};
-use std::io::Write;
-use std::path::Path;
+use serde::Deserialize;
 
 /// One node in a snapshot. `parent` indexes into the snapshot's node list
 /// (`None` for the root); nodes appear in an order where parents precede
-/// children.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// children. `Deserialize` reads version 1 (JSON) payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
 struct SnapshotNode {
     summary: Summary,
     depth: u8,
@@ -87,9 +83,10 @@ struct SnapshotNode {
     parent: Option<u32>,
 }
 
-/// An image of a [`MemoryLimitedQuadtree`]: the binary envelope of the
-/// [module docs](self), or serde for embedding in a larger document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An image of a [`MemoryLimitedQuadtree`], persisted as the binary
+/// envelope of the [module docs](self). `Deserialize` reads version 1
+/// (JSON) payloads; nothing writes that format any more.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct TreeSnapshot {
     config: MlqConfig,
     nodes: Vec<SnapshotNode>,
@@ -655,54 +652,6 @@ impl MemoryLimitedQuadtree {
             }),
         }
     }
-
-    /// Writes the model's snapshot envelope to `path` atomically: the
-    /// bytes go to a sibling `<name>.tmp` file, are flushed to the
-    /// device, and the temporary is renamed over the target. A crash at
-    /// any point leaves either the old snapshot or the new one — never a
-    /// torn mix. (Single-writer: concurrent savers to the same path race
-    /// on the temporary name.)
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::IoFault`] when the filesystem refuses any step.
-    pub fn save_to_file(&self, path: &Path) -> Result<(), MlqError> {
-        let io = |stage: &str, e: std::io::Error| MlqError::IoFault {
-            reason: format!("snapshot {stage} {}: {e}", path.display()),
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let bytes = self.snapshot().to_envelope();
-        let mut file = std::fs::File::create(&tmp).map_err(|e| io("create", e))?;
-        file.write_all(&bytes).map_err(|e| io("write", e))?;
-        file.sync_all().map_err(|e| io("sync", e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io("rename", e))
-    }
-
-    /// Restores a model from the snapshot file at `path`, with the same
-    /// fallback semantics as [`MemoryLimitedQuadtree::restore`]. A
-    /// missing file reads as "no snapshot yet" and falls back to fresh.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::IoFault`] when the file exists but cannot be read, or
-    /// the fallback configuration's own validation error.
-    pub fn restore_from_file(path: &Path, fallback: MlqConfig) -> Result<RestoreOutcome, MlqError> {
-        match std::fs::read(path) {
-            Ok(bytes) => MemoryLimitedQuadtree::restore(&bytes, fallback),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Ok(RestoreOutcome::CorruptFellBackToFresh {
-                    model: MemoryLimitedQuadtree::new(fallback)?,
-                    reason: format!("snapshot file not found: {}", path.display()),
-                })
-            }
-            Err(e) => {
-                Err(MlqError::IoFault { reason: format!("snapshot read {}: {e}", path.display()) })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -741,15 +690,6 @@ mod tests {
             let p = [f64::from(i * 7 % 1000), f64::from(i * 13 % 1000)];
             assert_eq!(restored.predict(&p).unwrap(), original.predict(&p).unwrap());
         }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_json() {
-        let original = trained_model();
-        let json = serde_json::to_string(&original.snapshot()).unwrap();
-        let back: TreeSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = MemoryLimitedQuadtree::from_snapshot(&back).unwrap();
-        assert_eq!(restored.node_count(), original.node_count());
     }
 
     #[test]
@@ -1120,37 +1060,5 @@ mod tests {
         // An empty payload is a valid frame.
         let empty = seal_frame(*b"MLQX", 1, &[]);
         assert_eq!(open_frame(*b"MLQX", 1, &empty).unwrap(), &[] as &[u8]);
-    }
-
-    #[test]
-    fn save_and_restore_file_atomically() {
-        let dir = std::env::temp_dir().join("mlq_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.mlqs");
-        let original = trained_model();
-        original.save_to_file(&path).unwrap();
-        // The temporary is gone after a successful save.
-        assert!(!dir.join("model.mlqs.tmp").exists());
-
-        let outcome = MemoryLimitedQuadtree::restore_from_file(&path, fallback_config()).unwrap();
-        assert!(outcome.is_restored());
-        assert_eq!(outcome.into_model().node_count(), original.node_count());
-
-        // Corrupt the file on disk: detected, falls back fresh.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let outcome = MemoryLimitedQuadtree::restore_from_file(&path, fallback_config()).unwrap();
-        assert!(matches!(outcome, RestoreOutcome::CorruptFellBackToFresh { .. }));
-
-        // A missing file is "no snapshot yet", not an error.
-        let outcome = MemoryLimitedQuadtree::restore_from_file(
-            &dir.join("never_written.mlqs"),
-            fallback_config(),
-        )
-        .unwrap();
-        assert!(matches!(outcome, RestoreOutcome::CorruptFellBackToFresh { .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

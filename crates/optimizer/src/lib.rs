@@ -56,14 +56,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod catalog;
 mod estimator;
 mod executor;
 mod plan;
 mod predicate;
 mod selectivity;
 
-pub use catalog::{catalog_models, CatalogSnapshot, UdfCatalog};
 pub use estimator::{CostEstimator, Estimator};
 pub use executor::{ExecutionReport, FeedbackExecutor, OrderingPolicy};
 pub use plan::{JoinStats, JoinUdfPlanner, PlanEstimate, PlanShape};

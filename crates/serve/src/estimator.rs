@@ -1,8 +1,8 @@
 //! The concurrent sharded estimator service.
 //!
 //! One [`ConcurrentEstimator`] serves cost estimates for every registered
-//! UDF. Internally it is sharded per UDF — the same keying as the
-//! optimizer's [`UdfCatalog`] — and split across two worlds:
+//! UDF. Internally it is sharded per UDF, one CPU and one IO model per
+//! shard (paper §1), and split across two worlds:
 //!
 //! * **Readers** (any number of threads) fetch the shard's published
 //!   [`ShardSnapshot`] — an `Arc` clone under a briefly held
@@ -39,11 +39,10 @@ use crate::wal::{
 };
 use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
-    GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, ModelCounters, Space, TreeSnapshot,
-    NODE_BYTES,
+    GuardState, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, MlqError,
+    ModelCounters, Space, TreeSnapshot, NODE_BYTES,
 };
-use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
-use mlq_optimizer::{catalog_models, UdfCatalog};
+use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -779,7 +778,6 @@ struct MaintainerCore {
     io_weight: f64,
     processed: Arc<Progress>,
     obs: MaintainerObs,
-    trace: Option<Arc<TraceRing>>,
     durability: Option<DurabilityCore>,
     fleet: Option<FleetCore>,
 }
@@ -805,8 +803,6 @@ impl MaintainerCore {
         if batch.is_empty() {
             return 0;
         }
-        let trace = self.trace.clone();
-        let _span = trace.as_ref().map(|ring| ring.span("serve.apply_batch"));
         let start = Instant::now();
         let n = batch.len();
         self.obs.batch_size.record(n as u64);
@@ -1109,12 +1105,34 @@ impl PendingShard {
     }
 }
 
+/// The model pair of one UDF shard over `space`: a CPU model with
+/// `β = 1` and an IO model with `β = 10` — the paper's tuned settings for
+/// deterministic vs. buffer-cache-noised costs — both lazy (`α = 0.05`)
+/// with `budget_per_model` bytes, raised to the MLQ dimensional floor.
+///
+/// Every registered shard and a replica group's merge base use this
+/// recipe, so they are configured identically.
+pub(crate) fn shard_models(
+    space: &Space,
+    budget_per_model: usize,
+) -> Result<(MemoryLimitedQuadtree, MemoryLimitedQuadtree), MlqError> {
+    let build = |beta: u64| -> Result<MemoryLimitedQuadtree, MlqError> {
+        let floor = MlqConfig::min_budget(space, 6);
+        let config = MlqConfig::builder(space.clone())
+            .memory_budget(budget_per_model.max(floor))
+            .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
+            .beta(beta)
+            .build()?;
+        MemoryLimitedQuadtree::new(config)
+    };
+    Ok((build(1)?, build(10)?))
+}
+
 /// Incrementally registers UDF shards, then spawns the service.
 pub struct ConcurrentEstimatorBuilder {
     config: ServeConfig,
     models: Vec<(String, MemoryLimitedQuadtree, MemoryLimitedQuadtree)>,
     registry: Option<Arc<Registry>>,
-    trace: Option<Arc<TraceRing>>,
     durability: Option<DurabilityConfig>,
     delta_budget: Option<usize>,
 }
@@ -1127,7 +1145,6 @@ impl ConcurrentEstimatorBuilder {
             config,
             models: Vec::new(),
             registry: None,
-            trace: None,
             durability: None,
             delta_budget: None,
         }
@@ -1159,13 +1176,6 @@ impl ConcurrentEstimatorBuilder {
         self
     }
 
-    /// Traces maintainer batches (span `serve.apply_batch`) into `ring`.
-    #[must_use]
-    pub fn with_trace_ring(mut self, ring: Arc<TraceRing>) -> Self {
-        self.trace = Some(ring);
-        self
-    }
-
     /// Enables per-shard delta tracking for replication: every absorbed
     /// observation is also recorded into a shadow
     /// [`DeltaTracker`] (per component, each with
@@ -1184,35 +1194,20 @@ impl ConcurrentEstimatorBuilder {
         self
     }
 
-    /// Registers a fresh UDF shard over `space`, using the catalog's model
-    /// recipe (`β = 1` CPU, `β = 10` IO, lazy insertion).
+    /// Registers a fresh UDF shard over `space`, with a `β = 1` CPU and a
+    /// `β = 10` IO model, both lazy.
     ///
     /// # Errors
     ///
     /// [`MlqError::InvalidConfig`] for duplicate names; propagates model
     /// construction failures.
-    pub fn register(self, name: &str, space: &Space) -> Result<Self, MlqError> {
-        let (cpu, io) = catalog_models(space, self.config.budget_per_model)?;
-        self.register_models(name, cpu, io)
-    }
-
-    /// Registers a UDF shard seeded with already-learned models (e.g.
-    /// handed over from a [`UdfCatalog`]).
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::InvalidConfig`] for duplicate names.
-    pub fn register_models(
-        mut self,
-        name: &str,
-        cpu: MemoryLimitedQuadtree,
-        io: MemoryLimitedQuadtree,
-    ) -> Result<Self, MlqError> {
+    pub fn register(mut self, name: &str, space: &Space) -> Result<Self, MlqError> {
         if self.models.iter().any(|(n, _, _)| n == name) {
             return Err(MlqError::InvalidConfig {
                 reason: format!("UDF {name} is already registered"),
             });
         }
+        let (cpu, io) = shard_models(space, self.config.budget_per_model)?;
         self.models.push((name.to_string(), cpu, io));
         Ok(self)
     }
@@ -1225,14 +1220,8 @@ impl ConcurrentEstimatorBuilder {
     /// [`MlqError::InvalidConfig`] when nothing is registered or the
     /// configuration is nonsensical.
     pub fn build(self) -> Result<ConcurrentEstimator, MlqError> {
-        let ConcurrentEstimatorBuilder {
-            config,
-            models,
-            registry,
-            trace,
-            durability,
-            delta_budget,
-        } = self;
+        let ConcurrentEstimatorBuilder { config, models, registry, durability, delta_budget } =
+            self;
         config.validate()?;
         if let Some(dconfig) = &durability {
             dconfig.validate()?;
@@ -1298,7 +1287,7 @@ impl ConcurrentEstimatorBuilder {
                 reason: "a concurrent estimator needs at least one registered UDF".into(),
             });
         }
-        // Shards are ordered by name, like the catalog.
+        // Shards are ordered by name.
         pending.sort_by(|a, b| a.name.cmp(&b.name));
 
         let mut shards = Vec::with_capacity(pending.len());
@@ -1430,7 +1419,6 @@ impl ConcurrentEstimatorBuilder {
             io_weight: config.io_weight,
             processed: Arc::clone(&processed),
             obs: MaintainerObs::new(&registry),
-            trace,
             durability: durability_core,
             fleet: fleet_core,
         })));
@@ -1544,21 +1532,6 @@ impl ConcurrentEstimator {
     #[must_use]
     pub fn builder(config: ServeConfig) -> ConcurrentEstimatorBuilder {
         ConcurrentEstimatorBuilder::new(config)
-    }
-
-    /// Builds the service from an optimizer catalog, taking ownership of
-    /// its learned per-UDF models — the serving layer's shards are keyed
-    /// exactly like the catalog.
-    ///
-    /// # Errors
-    ///
-    /// Propagates builder errors (e.g. an empty catalog).
-    pub fn from_catalog(catalog: UdfCatalog, config: ServeConfig) -> Result<Self, MlqError> {
-        let mut builder = ConcurrentEstimatorBuilder::new(config);
-        for (name, cpu, io) in catalog.into_models() {
-            builder = builder.register_models(&name, cpu, io)?;
-        }
-        builder.build()
     }
 
     /// Health of the durability layer: [`DurabilityStatus::Disabled`]

@@ -4,9 +4,9 @@
 //! runs many request threads asking for costs while executions stream
 //! back as feedback. This crate is that serving layer:
 //!
-//! * **Sharding** — one shard per registered UDF, keyed exactly like the
-//!   optimizer's [`UdfCatalog`](mlq_optimizer::UdfCatalog) (see
-//!   [`ConcurrentEstimator::from_catalog`]).
+//! * **Sharding** — one shard per registered UDF, keyed by name, each a
+//!   CPU and an IO model (paper §1), registered through
+//!   [`ConcurrentEstimatorBuilder::register`].
 //! * **Snapshot-isolated reads** — readers clone an `Arc` of an immutable
 //!   published [`ShardSnapshot`]; the `parking_lot::RwLock` guards only
 //!   the pointer swap. Predictions never contend with model maintenance,

@@ -35,14 +35,12 @@
 //! [`ReplicaGroup::sync`], which is what the merge-equivalence harness
 //! builds on.
 
-use crate::estimator::{MaintainerMode, ServeConfig, ServeReport};
+use crate::estimator::{shard_models, MaintainerMode, ServeConfig, ServeReport};
 use crate::wal::DurabilityConfig;
 use crate::ConcurrentEstimator;
 use mlq_core::{MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot};
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
-use mlq_optimizer::catalog_models;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -94,23 +92,19 @@ pub struct ReplicaGroupBuilder {
     config: ReplicaGroupConfig,
     spaces: Vec<(String, Space)>,
     durability: BTreeMap<usize, DurabilityConfig>,
-    durability_root: Option<PathBuf>,
 }
 
 impl ReplicaGroupBuilder {
     /// Starts a builder with `config`.
     #[must_use]
     pub fn new(config: ReplicaGroupConfig) -> Self {
-        ReplicaGroupBuilder {
-            config,
-            spaces: Vec::new(),
-            durability: BTreeMap::new(),
-            durability_root: None,
-        }
+        ReplicaGroupBuilder { config, spaces: Vec::new(), durability: BTreeMap::new() }
     }
 
     /// Registers a UDF shard over `space` on every replica (and in the
-    /// group's merge base), using the standard catalog model recipe.
+    /// group's merge base), with the same model pair
+    /// [`ConcurrentEstimatorBuilder::register`](crate::ConcurrentEstimatorBuilder::register)
+    /// builds.
     ///
     /// # Errors
     ///
@@ -125,17 +119,9 @@ impl ReplicaGroupBuilder {
         Ok(self)
     }
 
-    /// Gives every replica crash-safe serving under
-    /// `root/replica-<index>` with default durability settings.
-    #[must_use]
-    pub fn with_durability_root(mut self, root: impl Into<PathBuf>) -> Self {
-        self.durability_root = Some(root.into());
-        self
-    }
-
-    /// Explicit durability settings for one replica (fault injection,
-    /// checkpoint cadence, …). Overrides [`Self::with_durability_root`]
-    /// for that replica.
+    /// Gives one replica crash-safe serving with explicit durability
+    /// settings (fault injection, checkpoint cadence, …). Replicas without
+    /// settings serve without durability.
     ///
     /// # Errors
     ///
@@ -165,7 +151,7 @@ impl ReplicaGroupBuilder {
     /// [`MlqError::InvalidConfig`] when nothing is registered or the
     /// configuration is nonsensical; propagates replica build failures.
     pub fn build(self) -> Result<ReplicaGroup, MlqError> {
-        let ReplicaGroupBuilder { config, spaces, mut durability, durability_root } = self;
+        let ReplicaGroupBuilder { config, spaces, mut durability } = self;
         config.validate()?;
         if spaces.is_empty() {
             return Err(MlqError::InvalidConfig {
@@ -188,8 +174,6 @@ impl ReplicaGroupBuilder {
             }
             if let Some(dconfig) = durability.remove(&i) {
                 b = b.with_durability_config(dconfig);
-            } else if let Some(root) = &durability_root {
-                b = b.with_durability(root.join(format!("replica-{i}")));
             }
             replicas.push(Arc::new(b.build()?));
             replica_registries.push(replica_registry);
@@ -202,7 +186,7 @@ impl ReplicaGroupBuilder {
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
         let mut base = Vec::with_capacity(sorted.len());
         for (name, space) in sorted {
-            let (cpu, io) = catalog_models(&space, serve.budget_per_model)?;
+            let (cpu, io) = shard_models(&space, serve.budget_per_model)?;
             base.push(BaseShard { name, cpu, io });
         }
 

@@ -1,7 +1,7 @@
-//! Operating MLQ like catalog metadata: snapshot a trained model to JSON,
-//! restore it in a "new process", fold per-connection shard models into
-//! one, and replay a recorded workload trace against a fresh
-//! configuration.
+//! Operating MLQ like optimizer statistics: fold per-connection shard
+//! models into one, persist it as a checksummed snapshot envelope and
+//! restore it in a "new process", and replay a recorded workload trace
+//! against a fresh configuration.
 //!
 //! Run with: `cargo run --release --example persistence_and_sharding`
 
@@ -43,24 +43,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shard_b.node_count(),
     );
 
-    // --- 2. Merge into the catalog model (summaries are additive).
+    // --- 2. Merge into one model (summaries are additive).
     let report = shard_a.merge_from(&shard_b)?;
     println!(
-        "merged catalog model: {} observations, {} nodes (compression: {:?})",
+        "merged model: {} observations, {} nodes (compression: {:?})",
         shard_a.root_summary().count,
         shard_a.node_count(),
         report,
     );
 
-    // --- 3. Persist to JSON and restore ("optimizer restart").
-    let snapshot: TreeSnapshot = shard_a.snapshot();
-    let json = serde_json::to_string(&snapshot)?;
+    // --- 3. Persist as a snapshot envelope and restore ("optimizer
+    //        restart"). The envelope is CRC-checked on the way back in.
+    let snapshot = shard_a.snapshot();
+    let bytes = snapshot.to_envelope();
     println!(
-        "snapshot: {} nodes serialized to {} bytes of JSON",
+        "snapshot: {} nodes sealed into a {}-byte envelope",
         snapshot.node_count(),
-        json.len()
+        bytes.len()
     );
-    let restored = MemoryLimitedQuadtree::from_snapshot(&serde_json::from_str(&json)?)?;
+    let restored = MemoryLimitedQuadtree::from_snapshot(&TreeSnapshot::from_envelope(&bytes)?)?;
     let probe = &workload[17];
     assert_eq!(restored.predict(probe)?, shard_a.predict(probe)?);
     println!("restored model answers identically at a probe point");
