@@ -1,11 +1,14 @@
 //! Microbenchmarks of the three MLQ operations whose costs the paper's
 //! Experiment 2 reports: prediction (APC numerator), insertion, and
-//! compression (AUC numerators), plus the guarded observe that wraps
-//! insertion on the served write path.
+//! compression (AUC numerators), plus fleet-wide mass eviction and the
+//! guarded observe that wraps insertion on the served write path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlq_bench::{standard_model, standard_workload};
-use mlq_core::{CostModel, GuardConfig, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree};
+use mlq_core::{
+    evict_to_global_budget, CostModel, FleetModel, GuardConfig, GuardedModel, InsertionStrategy,
+    MemoryLimitedQuadtree,
+};
 use std::hint::black_box;
 
 fn bench_predict(c: &mut Criterion) {
@@ -105,6 +108,41 @@ fn bench_compress_at_budget(c: &mut Criterion) {
     });
 }
 
+/// Mass eviction, the shortlist's worst case: eight 4-D lazy trees
+/// (`α = 0.05`, 64 KiB) at their budgets, all weight 1.0, squeezed by
+/// one [`evict_to_global_budget`] call to ¾ of their summed bytes.
+fn bench_fleet_mass_eviction(c: &mut Criterion) {
+    let strategy = InsertionStrategy::Lazy { alpha: 0.05 };
+    let fleet: Vec<MemoryLimitedQuadtree> = (0..8u64)
+        .map(|seed| {
+            let (points, actuals) = standard_workload(20_000, 40 + seed);
+            let mut model = standard_model(64 << 10, strategy);
+            // Fill to the budget: stop after the first compression.
+            for (p, &a) in points.iter().zip(&actuals) {
+                if model.insert(p, a).unwrap().compression.is_some() {
+                    break;
+                }
+            }
+            model
+        })
+        .collect();
+    let budget = fleet.iter().map(MemoryLimitedQuadtree::bytes_used).sum::<usize>() * 3 / 4;
+    c.bench_function("mlq_fleet_mass_eviction", |b| {
+        b.iter_batched(
+            || fleet.clone(),
+            |mut models| {
+                let mut view: Vec<FleetModel<'_>> =
+                    models.iter_mut().map(|model| FleetModel { weight: 1.0, model }).collect();
+                let report = evict_to_global_budget(&mut view, black_box(budget)).unwrap();
+                drop(view);
+                // Hand the trees back so their deallocation is not timed.
+                (report, models)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 /// Observations per timed sample of [`bench_guarded_observe_at_budget`].
 const GUARDED_BATCH: usize = 256;
 
@@ -141,6 +179,7 @@ criterion_group!(
     bench_insert,
     bench_compress,
     bench_compress_at_budget,
+    bench_fleet_mass_eviction,
     bench_guarded_observe_at_budget
 );
 criterion_main!(benches);

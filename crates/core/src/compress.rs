@@ -12,11 +12,13 @@
 //! Eq. 9 depends only on a leaf's own summary and its parent's average,
 //! both of which are unchanged by evicting *other* leaves (summaries are
 //! cumulative: a parent already includes its children's points). Priorities
-//! therefore never go stale within a pass and a plain binary min-heap
-//! computes the same result as recomputing SSEG after every removal.
+//! therefore never go stale within a pass, so evicting in the order of the
+//! keys at the start of the pass (plus cascaded parents as they appear)
+//! gives the same result as recomputing SSEG after every removal.
 //!
-//! The heap loop itself is the fleet eviction pass ([`crate::fleet`]):
-//! compressing one tree is fleet eviction over a single model of
+//! The loop itself is the fleet eviction pass ([`crate::fleet`]): it
+//! shortlists the few smallest leaves instead of ordering all of them,
+//! and compressing one tree is fleet eviction over a single model of
 //! weight 1.0.
 
 use crate::fleet::{evict_pass_observed, FleetModel};

@@ -21,6 +21,13 @@
 //! (sorted) model ordering. Priorities never go stale within a pass:
 //! summaries are cumulative, so evicting one leaf changes no other
 //! candidate's key.
+//!
+//! A pass evicts a handful of a tree's ~1,000 leaves, so it does not
+//! order them all. One scan keeps the 16 smallest candidates in a sorted
+//! shortlist; every leaf left out is larger than the largest one kept,
+//! so the shortlist pops in the global order until that bound is popped.
+//! Cascaded parents join the shortlist. Past the bound the pass rescans
+//! with twice the room, so evicting E leaves costs O(log E) scans.
 
 use crate::node::NIL;
 use crate::tree::MemoryLimitedQuadtree;
@@ -98,7 +105,7 @@ impl MemoryLimitedQuadtree {
     }
 }
 
-/// Heap entry for the eviction pass. Ordered ascending by
+/// Shortlist entry for the eviction pass. Ordered ascending by
 /// `(key, weight, model, root path)`:
 ///
 /// * `key = weight · sseg` — the traffic-weighted accuracy cost of the
@@ -117,7 +124,7 @@ impl MemoryLimitedQuadtree {
 /// layer's crash-recovery equivalence invariant rests on. The path is
 /// never stored: exact `(key, weight, model)` ties compare it through the
 /// tree's parent links ([`MemoryLimitedQuadtree::cmp_root_paths`]), so a
-/// candidate is plain data and seeding a pass allocates nothing per leaf.
+/// candidate is plain data and a scan allocates nothing per leaf.
 #[derive(Debug, Clone, Copy)]
 struct FleetCandidate {
     key: f64,
@@ -136,63 +143,6 @@ impl FleetCandidate {
             .then_with(|| self.weight.total_cmp(&other.weight))
             .then_with(|| self.model.cmp(&other.model))
             .then_with(|| models[self.model].model.cmp_root_paths(self.node, other.node))
-    }
-}
-
-/// Binary min-heap of [`FleetCandidate`]s. Hand-rolled rather than a
-/// `BinaryHeap` because the order reads the models (for root paths),
-/// which the pass mutates between pops.
-struct CandidateHeap(Vec<FleetCandidate>);
-
-impl CandidateHeap {
-    /// Heapifies `items` in one O(n) pass. The order is total, so pops do
-    /// not depend on how the heap was built.
-    fn new(items: Vec<FleetCandidate>, models: &[FleetModel<'_>]) -> Self {
-        let mut heap = CandidateHeap(items);
-        for i in (0..heap.0.len() / 2).rev() {
-            heap.sift_down(i, models);
-        }
-        heap
-    }
-
-    fn less(&self, i: usize, j: usize, models: &[FleetModel<'_>]) -> bool {
-        self.0[i].cmp(&self.0[j], models) == Ordering::Less
-    }
-
-    fn sift_down(&mut self, mut i: usize, models: &[FleetModel<'_>]) {
-        let n = self.0.len();
-        loop {
-            let mut least = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < n && self.less(child, least, models) {
-                    least = child;
-                }
-            }
-            if least == i {
-                return;
-            }
-            self.0.swap(i, least);
-            i = least;
-        }
-    }
-
-    fn push(&mut self, candidate: FleetCandidate, models: &[FleetModel<'_>]) {
-        self.0.push(candidate);
-        let mut i = self.0.len() - 1;
-        while i > 0 && self.less(i, (i - 1) / 2, models) {
-            self.0.swap(i, (i - 1) / 2);
-            i = (i - 1) / 2;
-        }
-    }
-
-    fn pop(&mut self, models: &[FleetModel<'_>]) -> Option<FleetCandidate> {
-        let last = self.0.pop()?;
-        if self.0.is_empty() {
-            return Some(last);
-        }
-        let top = std::mem::replace(&mut self.0[0], last);
-        self.sift_down(0, models);
-        Some(top)
     }
 }
 
@@ -276,32 +226,27 @@ pub(crate) fn evict_pass_observed(
         return FleetEvictionReport { nodes_freed: 0, bytes_freed: 0, per_model, fit: true };
     }
 
-    // Fig. 6 line 1: every leaf enters the priority queue.
-    let live: usize = models.iter().map(|fm| fm.model.node_count()).sum();
-    let mut seed = Vec::with_capacity(live);
-    for (mi, fm) in models.iter().enumerate() {
-        // Normalize -0.0 so the weight tie-break cannot distinguish it
-        // from +0.0 (total_cmp would order -0.0 first).
-        let weight = fm.weight + 0.0;
-        let m = &*fm.model;
-        let root = m.root;
-        for (idx, node) in m.arena.iter_live() {
-            if idx == root || !node.is_leaf() {
-                continue;
-            }
-            let parent_avg = m.arena.get(node.parent).summary.avg();
-            let sseg = node.summary.sseg(parent_avg);
-            seed.push(FleetCandidate { key: weight * sseg, weight, model: mi, node: idx });
-        }
-    }
-    let mut heap = CandidateHeap::new(seed, models);
-
+    // Fig. 6 line 1 queues every leaf. Here a scan shortlists the `cap`
+    // smallest, sorted descending (minimum last); every leaf left out is
+    // larger than the bound, the largest one scanned in. Keys never
+    // change within a pass, so until the bound itself pops, the
+    // shortlist's minimum is the global minimum. Then rescan with twice
+    // the room.
+    let mut shortlist: Vec<FleetCandidate> = Vec::new();
+    let mut cap = 16;
+    let mut bound = None;
+    let mut rescan = true;
     let mut nodes_freed = 0usize;
     let mut bytes_freed = 0usize;
     while bytes_freed < min_freed || total > budget {
-        let Some(FleetCandidate { weight, model: mi, node, .. }) = heap.pop(models) else {
+        if rescan {
+            bound = scan_shortlist(models, cap, &mut shortlist);
+            cap *= 2;
+        }
+        let Some(FleetCandidate { weight, model: mi, node, .. }) = shortlist.pop() else {
             break; // every model is down to its root
         };
+        rescan = bound == Some((mi, node));
         on_evict(mi, models[mi].model, node);
         let m = &mut *models[mi].model;
         let (bytes, newly_leaf) = m.evict_leaf(node);
@@ -320,11 +265,49 @@ pub(crate) fn evict_pass_observed(
                 let sseg = m.arena.get(parent).summary.sseg(parent_avg);
                 let candidate =
                     FleetCandidate { key: weight * sseg, weight, model: mi, node: parent };
-                heap.push(candidate, models);
+                let at = shortlist.partition_point(|c| c.cmp(&candidate, models).is_gt());
+                shortlist.insert(at, candidate);
             }
         }
     }
     FleetEvictionReport { nodes_freed, bytes_freed, per_model, fit: total <= budget }
+}
+
+/// Refills `shortlist` with the `cap` smallest current candidates across
+/// `models`, sorted descending. Returns the bound — the largest one,
+/// as `(model, node)` — when some leaf did not fit, and `None` when the
+/// shortlist holds every candidate.
+fn scan_shortlist(
+    models: &[FleetModel<'_>],
+    cap: usize,
+    shortlist: &mut Vec<FleetCandidate>,
+) -> Option<(usize, u32)> {
+    shortlist.clear();
+    let mut capped = false;
+    for (mi, fm) in models.iter().enumerate() {
+        // Normalize -0.0 so the weight tie-break cannot distinguish it
+        // from +0.0 (total_cmp would order -0.0 first).
+        let weight = fm.weight + 0.0;
+        let m = &*fm.model;
+        for (idx, node) in m.arena.iter_live() {
+            if idx == m.root || !node.is_leaf() {
+                continue;
+            }
+            let parent_avg = m.arena.get(node.parent).summary.avg();
+            let sseg = node.summary.sseg(parent_avg);
+            let candidate = FleetCandidate { key: weight * sseg, weight, model: mi, node: idx };
+            if shortlist.len() == cap {
+                capped = true;
+                if candidate.cmp(&shortlist[0], models).is_gt() {
+                    continue;
+                }
+                shortlist.remove(0);
+            }
+            let at = shortlist.partition_point(|c| c.cmp(&candidate, models).is_gt());
+            shortlist.insert(at, candidate);
+        }
+    }
+    capped.then(|| (shortlist[0].model, shortlist[0].node))
 }
 
 #[cfg(test)]
@@ -448,26 +431,37 @@ mod tests {
     fn arb_member() -> impl Strategy<Value = MemberSpec> {
         (
             (any::<bool>(), 2u8..6, 2048usize..16384),
-            prop::collection::vec((0.0..1000.0f64, 0.0..1000.0f64, 0u32..4), 0..120),
-            any::<bool>(),
+            prop::collection::vec((0.0..1000.0f64, 0.0..1000.0f64, 0u32..4), 0..400),
+            (any::<bool>(), any::<bool>()),
             prop_oneof![Just(0.0), Just(-0.0), Just(0.5), Just(1.0), Just(3.0)],
             any::<bool>(),
         )
-            .prop_map(|((lazy, lambda, budget), raw, all_equal, weight, restored)| {
-                MemberSpec {
-                    lazy,
-                    lambda,
-                    budget,
+            .prop_map(
+                |((lazy, lambda, budget), raw, (all_equal, coarse), weight, restored)| {
                     // All-equal costs make every SSEG zero: ties everywhere,
-                    // decided by the root path alone.
-                    points: raw
-                        .into_iter()
-                        .map(|(x, y, v)| (x, y, if all_equal { 5.0 } else { f64::from(v) * 10.0 }))
-                        .collect(),
-                    weight,
-                    restored,
-                }
-            })
+                    // decided by the root path alone. Coarse coordinates
+                    // repeat points, so single-child chains whose SSEG is
+                    // exactly zero form whatever the costs.
+                    let snap = |c: f64| if coarse { (c / 125.0).floor() * 125.0 + 1.0 } else { c };
+                    MemberSpec {
+                        lazy,
+                        lambda,
+                        budget,
+                        points: raw
+                            .into_iter()
+                            .map(|(x, y, v)| {
+                                (
+                                    snap(x),
+                                    snap(y),
+                                    if all_equal { 5.0 } else { f64::from(v) * 10.0 },
+                                )
+                            })
+                            .collect(),
+                        weight,
+                        restored,
+                    }
+                },
+            )
     }
 
     fn build_member(spec: &MemberSpec) -> MemoryLimitedQuadtree {
@@ -542,8 +536,11 @@ mod tests {
 
         #[test]
         fn lazy_path_pass_matches_the_materialized_path_reference(
-            specs in prop::collection::vec(arb_member(), 1..5),
-            budget_frac in 0.0..1.0f64,
+            specs in prop::collection::vec(arb_member(), 1..6),
+            // A global budget well under the fleet's sum makes one pass
+            // evict more leaves than two shortlist refills hold, with
+            // cascades.
+            budget_frac in prop_oneof![0.0..1.0f64, 0.0..0.3f64],
             min_freed in prop_oneof![Just(0usize), 1usize..4096],
         ) {
             let fast = run_fleet(&specs, budget_frac, min_freed, |f, b, m, log| {
@@ -554,6 +551,54 @@ mod tests {
             });
             prop_assert_eq!(fast, slow);
         }
+    }
+
+    #[test]
+    fn mass_eviction_matches_the_reference_leaf_for_leaf() {
+        // Four members of 400 points each, squeezed to a quarter of their
+        // sum: one call evicts hundreds of leaves, far past the first
+        // shortlist and its refills. One member has flat costs (every
+        // SSEG zero), one is snapshot-restored, one is lazy.
+        let specs: Vec<MemberSpec> = (0..4u32)
+            .map(|k| {
+                let mut state = 0x9E37_79B9u32.wrapping_mul(k + 1);
+                let mut coord = move || {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    f64::from(state >> 8) / f64::from(1u32 << 24) * 1000.0
+                };
+                MemberSpec {
+                    lazy: k == 3,
+                    lambda: 5,
+                    budget: 1 << 20,
+                    points: (0..400u32)
+                        .map(|i| {
+                            let cost = if k == 2 { 5.0 } else { f64::from(i % 4) * 10.0 };
+                            (coord(), coord(), cost)
+                        })
+                        .collect(),
+                    weight: [0.5, 1.0, 1.0, 3.0][k as usize],
+                    restored: k == 1,
+                }
+            })
+            .collect();
+        let reference =
+            run_fleet(&specs, 0.25, 0, |f, b, m, log| reference_evict_pass(f, b, m, log));
+        assert!(reference.report.nodes_freed >= 200, "{} evicted", reference.report.nodes_freed);
+        let observed = run_fleet(&specs, 0.25, 0, |f, b, m, log| evict_pass_observed(f, b, m, log));
+        assert_eq!(observed, reference);
+
+        // The public entry point runs that same pass.
+        let mut trees: Vec<MemoryLimitedQuadtree> = specs.iter().map(build_member).collect();
+        let total: usize = trees.iter().map(MemoryLimitedQuadtree::bytes_used).sum();
+        let mut fleet: Vec<FleetModel<'_>> = trees
+            .iter_mut()
+            .zip(&specs)
+            .map(|(model, spec)| FleetModel { weight: spec.weight, model })
+            .collect();
+        let report = evict_to_global_budget(&mut fleet, (total as f64 * 0.25) as usize).unwrap();
+        drop(fleet);
+        assert_eq!(report, reference.report);
+        assert_eq!(trees.iter().map(shape).collect::<Vec<_>>(), reference.shapes);
     }
 
     #[test]

@@ -223,9 +223,10 @@ impl BatchPlan {
     }
 }
 
-/// A read-only prediction snapshot of a [`MemoryLimitedQuadtree`] in the
-/// packed struct-of-slabs layout described in the
-/// [module documentation](self).
+/// A read-only prediction snapshot of a [`MemoryLimitedQuadtree`] in a
+/// packed struct-of-slabs layout: one 32-byte record per node, and every
+/// present child in one shared slab, found by the popcount rank of the
+/// record's child-presence mask.
 ///
 /// Shares the live tree's prediction semantics ([Fig. 3]: deepest block
 /// on the root-to-leaf path holding at least `β` points, root fallback)
@@ -258,6 +259,23 @@ pub struct FrozenTree {
     provenance: Provenance,
 }
 
+/// Sets the presence bit of each of up to 64 child `slots` without a
+/// branch per slot, then enqueues the present children in slot order,
+/// recording each one's BFS index in the child slab.
+fn enqueue_children(slots: &[u32], order: &mut Vec<u32>, children: &mut Vec<u32>) -> u64 {
+    let mut mask = 0u64;
+    for (slot, &child) in slots.iter().enumerate() {
+        mask |= u64::from(child != NIL) << slot;
+    }
+    let mut bits = mask;
+    while bits != 0 {
+        order.push(slots[bits.trailing_zeros() as usize]);
+        children.push(u32::try_from(order.len() - 1).expect("arena indices fit u32"));
+        bits &= bits - 1;
+    }
+    mask
+}
+
 impl FrozenTree {
     /// Builds a frozen copy of `tree`'s live nodes (root first), reusing
     /// the tree's scratch BFS queue, and records the arena → slab index
@@ -273,7 +291,8 @@ impl FrozenTree {
         order.clear();
         order.push(tree.root);
         let mut nodes: Vec<PackedNode> = Vec::with_capacity(tree.node_count());
-        let mut children: Vec<u32> = Vec::new();
+        // Every node but the root is some node's child.
+        let mut children: Vec<u32> = Vec::with_capacity(tree.node_count() - 1);
         let mut wide_masks: Vec<u64> = Vec::new();
         let mut head = 0usize;
         while head < order.len() {
@@ -281,36 +300,17 @@ impl FrozenTree {
             head += 1;
             let node = tree.arena.get(old);
             let children_base = u32::try_from(children.len()).expect("child slab fits u32");
-            let enqueue = |order: &mut Vec<u32>, children: &mut Vec<u32>, child: u32| {
-                order.push(child);
-                children.push(u32::try_from(order.len() - 1).expect("arena indices fit u32"));
-            };
             let mask = match &node.children {
-                None => {
-                    if mask_words == 1 {
-                        0
-                    } else {
-                        WIDE_LEAF
-                    }
-                }
+                None if mask_words == 1 => 0,
+                None => WIDE_LEAF,
                 Some(slots) if mask_words == 1 => {
-                    let mut mask = 0u64;
-                    for (slot, &child) in slots.iter().enumerate() {
-                        if child != NIL {
-                            mask |= 1 << slot;
-                            enqueue(&mut order, &mut children, child);
-                        }
-                    }
-                    mask
+                    enqueue_children(slots, &mut order, &mut children)
                 }
                 Some(slots) => {
                     let base = wide_masks.len();
-                    wide_masks.resize(base + mask_words, 0);
-                    for (slot, &child) in slots.iter().enumerate() {
-                        if child != NIL {
-                            wide_masks[base + slot / 64] |= 1 << (slot % 64);
-                            enqueue(&mut order, &mut children, child);
-                        }
+                    for group in slots.chunks(64) {
+                        let word = enqueue_children(group, &mut order, &mut children);
+                        wide_masks.push(word);
                     }
                     base as u64
                 }
@@ -1217,37 +1217,63 @@ mod tests {
 
     #[test]
     fn high_dimension_wide_masks_stay_equivalent() {
-        // d = 7 → fanout 128: the inline 64-bit mask no longer fits and
-        // the wide-mask slab takes over. Same semantics, still far
-        // smaller than 128 boxed slots per internal node.
-        let mut m = model_d(7, 1 << 18);
-        let pts: Vec<Vec<f64>> = (0..120u32)
-            .map(|i| (0..7).map(|d| f64::from(i.wrapping_mul(89 + d) % 1000)).collect())
-            .collect();
-        for (i, p) in pts.iter().enumerate() {
-            m.insert(p, (i % 11) as f64).unwrap();
-        }
-        let f = m.freeze();
-        assert_eq!(f.node_count(), m.node_count());
-        for p in &pts {
-            assert_eq!(f.predict(p).unwrap(), m.predict(p).unwrap(), "point {p:?}");
-            for beta in [1, 3, 50] {
-                assert_eq!(
-                    f.predict_with_beta(p, beta).unwrap(),
-                    m.predict_with_beta(p, beta).unwrap()
-                );
+        // d = 6 → fanout 64: the inline mask's top bit (slot 63) is in
+        // use. d = 7 → fanout 128: the inline 64-bit mask no longer fits
+        // and the wide-mask slab takes over. Same semantics, still far
+        // smaller than 2^d boxed slots per internal node.
+        for dims in [6usize, 7] {
+            let mut m = model_d(dims, 1 << 18);
+            let pts: Vec<Vec<f64>> = (0..120u32)
+                .map(|i| {
+                    (0..dims as u32).map(|d| f64::from(i.wrapping_mul(89 + d) % 1000)).collect()
+                })
+                .collect();
+            for (i, p) in pts.iter().enumerate() {
+                m.insert(p, (i % 11) as f64).unwrap();
             }
+            // A point in the all-high corner takes slot 2^d − 1 at every
+            // level.
+            let corner = vec![999.0; dims];
+            m.insert(&corner, 4.0).unwrap();
+            let f = m.freeze();
+            assert_eq!(f.node_count(), m.node_count());
+            assert!(f.child_of(0, (1 << dims) - 1).is_some(), "d = {dims}: top slot");
+            let check = |f: &FrozenTree, m: &MemoryLimitedQuadtree| {
+                for p in pts.iter().chain([&corner]) {
+                    assert_eq!(f.predict(p).unwrap(), m.predict(p).unwrap(), "d = {dims}, {p:?}");
+                    for beta in [1, 3, 50] {
+                        assert_eq!(
+                            f.predict_with_beta(p, beta).unwrap(),
+                            m.predict_with_beta(p, beta).unwrap()
+                        );
+                    }
+                }
+            };
+            check(&f, &m);
+            // The pair kernel agrees with scalar descents.
+            let (a, b) = pair_batch(&f, &f, &pts);
+            for ((p, got_a), got_b) in pts.iter().zip(&a).zip(&b) {
+                assert_eq!(*got_a, f.predict(p).unwrap());
+                assert_eq!(*got_b, f.predict(p).unwrap());
+            }
+            let internal = m.nodes().iter().filter(|n| n.n_children > 0).count();
+            let boxed_layout = f.node_count() * NODE_BYTES + internal * child_array_bytes(dims);
+            assert!(f.bytes() < boxed_layout);
+
+            // Refreeze: a value-only update patches, a new corner splits
+            // and falls back to a full freeze; both serve live answers.
+            m.insert(&corner, 40.0).unwrap();
+            assert!(FrozenTree::can_patch(&m, &f), "d = {dims}: value-only update");
+            let patched = m.refreeze(&f);
+            assert_bit_identical(&patched, &FrozenTree::from_tree(&m));
+            check(&patched, &m);
+            m.insert(&vec![1.0; dims], 9.0).unwrap();
+            m.insert(&[vec![999.0], vec![1.0; dims - 1]].concat(), 2.0).unwrap();
+            let refrozen = m.refreeze(&patched);
+            assert_eq!(refrozen.node_count(), m.node_count());
+            assert_bit_identical(&refrozen, &FrozenTree::from_tree(&m));
+            check(&refrozen, &m);
         }
-        // The pair kernel's wide-mask fallback agrees with scalar
-        // descents.
-        let (a, b) = pair_batch(&f, &f, &pts);
-        for ((p, got_a), got_b) in pts.iter().zip(&a).zip(&b) {
-            assert_eq!(*got_a, f.predict(p).unwrap());
-            assert_eq!(*got_b, f.predict(p).unwrap());
-        }
-        let internal = m.nodes().iter().filter(|n| n.n_children > 0).count();
-        let boxed_layout = f.node_count() * NODE_BYTES + internal * child_array_bytes(7);
-        assert!(f.bytes() < boxed_layout);
     }
 
     #[test]

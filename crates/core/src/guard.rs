@@ -205,7 +205,8 @@ pub struct GuardState {
 /// A [`CostModel`] wrapper adding feedback validation, outlier
 /// quarantine, and a circuit breaker with a running-average fallback.
 ///
-/// See the [module documentation](self) for the full failure model.
+/// Point validation, cost screening and breaker transitions are
+/// described on [`GuardConfig`]'s fields.
 /// `Clone` (available when the inner model is `Clone`) duplicates the
 /// guard state — window, breaker, counters — alongside the model, so a
 /// maintainer thread can snapshot a guarded model wholesale.

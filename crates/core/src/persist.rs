@@ -84,7 +84,7 @@ struct SnapshotNode {
 }
 
 /// An image of a [`MemoryLimitedQuadtree`], persisted as the binary
-/// envelope of the [module docs](self). `Deserialize` reads version 1
+/// envelope of [`Self::to_envelope`]. `Deserialize` reads version 1
 /// (JSON) payloads; nothing writes that format any more.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct TreeSnapshot {
@@ -210,7 +210,7 @@ impl MemoryLimitedQuadtree {
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MLQS";
 
 /// Envelope format version written by this build: the binary payload of
-/// the [module docs](self).
+/// [`TreeSnapshot::to_envelope`].
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The JSON payload version, still read but no longer written.
@@ -355,9 +355,10 @@ impl RestoreOutcome {
 }
 
 impl TreeSnapshot {
-    /// Serializes the snapshot into the versioned, checksummed envelope
-    /// documented at the [module level](self), always in the current
-    /// [`SNAPSHOT_VERSION`].
+    /// Serializes the snapshot into a versioned, checksummed envelope,
+    /// always in the current [`SNAPSHOT_VERSION`]: a 20-byte header
+    /// (magic `b"MLQS"`, version, payload length, CRC-32 over all three)
+    /// and the binary payload.
     #[must_use]
     pub fn to_envelope(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload_len());

@@ -19,7 +19,7 @@
 //! experiment harnesses unchanged, and both are deterministic under a
 //! fixed seed (the stump ensemble uses no randomness at all).
 //!
-//! [`CombinedEstimator`] adapts any single [`CostModel`] to the
+//! [`CombinedEstimator`] adapts any single [`mlq_core::CostModel`] to the
 //! optimizer's [`mlq_optimizer::Estimator`] seam — including
 //! `predict_batch` — by learning the *combined* CPU + weighted-IO cost
 //! with one model, which is how a learned baseline would actually be

@@ -1471,7 +1471,7 @@ impl ConcurrentEstimatorBuilder {
 }
 
 /// A sharded, concurrently readable estimator service over every
-/// registered UDF. See the [module documentation](self).
+/// registered UDF. See the [crate documentation](crate).
 pub struct ConcurrentEstimator {
     names: BTreeMap<String, usize>,
     published: Arc<Vec<RwLock<Arc<ShardSnapshot>>>>,

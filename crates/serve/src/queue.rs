@@ -46,7 +46,9 @@ impl BackpressurePolicy {
     }
 }
 
-/// How a single [`push`](FeedbackQueue::push) was admitted.
+/// How one feedback offer ([`EstimatorHandle::offer`](crate::EstimatorHandle::offer),
+/// [`ConcurrentEstimator::observe`](crate::ConcurrentEstimator::observe)) was
+/// admitted to the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
     /// Enqueued without displacing anything.

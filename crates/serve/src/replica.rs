@@ -404,7 +404,9 @@ pub struct GroupReport {
 }
 
 /// N replicated [`ConcurrentEstimator`]s kept convergent by anti-entropy
-/// merges. See the [module documentation](self).
+/// merges: each replica absorbs its own feedback stream, and each
+/// [`ReplicaGroup::sync`] round folds every replica's delta into a shared
+/// merge base and installs the result on every replica.
 pub struct ReplicaGroup {
     shared: Arc<GroupShared>,
     /// The anti-entropy scheduler thread (`None` under
