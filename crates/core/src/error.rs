@@ -51,6 +51,14 @@ pub enum MlqError {
         /// Explanation of what check failed.
         reason: String,
     },
+    /// A persisted frame is intact (magic, length and checksum verify)
+    /// but records a format version this build does not read.
+    VersionMismatch {
+        /// The version recorded in the frame.
+        found: u32,
+        /// The version this build reads.
+        supported: u32,
+    },
     /// An underlying I/O operation failed (storage fault or filesystem
     /// error).
     IoFault {
@@ -77,6 +85,9 @@ impl fmt::Display for MlqError {
                 write!(f, "feedback cost {cost} quarantined (robust bound {threshold})")
             }
             MlqError::SnapshotCorrupt { reason } => write!(f, "snapshot corrupt: {reason}"),
+            MlqError::VersionMismatch { found, supported } => {
+                write!(f, "format version {found} is not read by this build (it reads {supported})")
+            }
             MlqError::IoFault { reason } => write!(f, "i/o fault: {reason}"),
         }
     }

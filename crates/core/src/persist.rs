@@ -53,9 +53,9 @@
 //! The decoder checks the node count against the remaining payload before
 //! it allocates anything and rejects trailing bytes; the configuration
 //! and the tree structure are then validated exactly as for any snapshot
-//! (see [`MemoryLimitedQuadtree::from_snapshot`]). Version 1 envelopes,
-//! whose payload is the JSON-serialized [`TreeSnapshot`], are still read
-//! but no longer written.
+//! (see [`MemoryLimitedQuadtree::from_snapshot`]). An intact envelope
+//! of any other version, such as the JSON version 1 of earlier builds,
+//! is not read: it decodes to [`MlqError::VersionMismatch`].
 //!
 //! [`MemoryLimitedQuadtree::restore`] verifies the checksum, rebuilds
 //! the tree, re-runs the structural invariant checker, and reports what
@@ -70,12 +70,11 @@ use crate::node::NIL;
 use crate::space::{Space, MAX_DIMS};
 use crate::summary::Summary;
 use crate::tree::MemoryLimitedQuadtree;
-use serde::Deserialize;
 
 /// One node in a snapshot. `parent` indexes into the snapshot's node list
 /// (`None` for the root); nodes appear in an order where parents precede
-/// children. `Deserialize` reads version 1 (JSON) payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
+/// children.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SnapshotNode {
     summary: Summary,
     depth: u8,
@@ -84,9 +83,8 @@ struct SnapshotNode {
 }
 
 /// An image of a [`MemoryLimitedQuadtree`], persisted as the binary
-/// envelope of [`Self::to_envelope`]. `Deserialize` reads version 1
-/// (JSON) payloads; nothing writes that format any more.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// envelope of [`Self::to_envelope`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeSnapshot {
     config: MlqConfig,
     nodes: Vec<SnapshotNode>,
@@ -209,12 +207,9 @@ impl MemoryLimitedQuadtree {
 /// Magic bytes opening every snapshot envelope.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MLQS";
 
-/// Envelope format version written by this build: the binary payload of
-/// [`TreeSnapshot::to_envelope`].
+/// Envelope format version written and read by this build: the binary
+/// payload of [`TreeSnapshot::to_envelope`].
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// The JSON payload version, still read but no longer written.
-const SNAPSHOT_VERSION_JSON: u32 = 1;
 
 /// Envelope header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 4;
@@ -291,19 +286,6 @@ fn crc32(chunks: &[&[u8]]) -> u32 {
     !crc
 }
 
-/// Why an envelope failed to decode. Internal: the public surface is
-/// [`RestoreOutcome`].
-enum DecodeFailure {
-    /// Structurally bad bytes: wrong magic, bad checksum, truncation,
-    /// unparseable payload, or a snapshot the tree rejects.
-    Corrupt(String),
-    /// A well-formed envelope from a different format version.
-    Version {
-        /// The version recorded in the envelope.
-        found: u32,
-    },
-}
-
 /// Result of restoring a model from persisted bytes.
 ///
 /// Every variant carries a usable model: restore is total, and the
@@ -330,8 +312,7 @@ pub enum RestoreOutcome {
         model: MemoryLimitedQuadtree,
         /// Version found in the envelope.
         found: u32,
-        /// Version this build writes ([`SNAPSHOT_VERSION`]); it also
-        /// reads the JSON version 1.
+        /// The one version this build reads, [`SNAPSHOT_VERSION`].
         supported: u32,
     },
 }
@@ -456,26 +437,18 @@ impl TreeSnapshot {
         Ok(TreeSnapshot { config, nodes, had_compression })
     }
 
-    /// Decodes an envelope, verifying magic, version, length, and
-    /// checksum before touching the payload. Reads version 2 and the
-    /// JSON version 1. Never panics, whatever the bytes.
+    /// Decodes an envelope, verifying magic, length, checksum and version
+    /// before touching the payload. Never panics, whatever the bytes.
     ///
     /// # Errors
     ///
-    /// [`MlqError::SnapshotCorrupt`] on any validation failure, including
-    /// an unsupported version (use [`MemoryLimitedQuadtree::restore`] for
-    /// the typed distinction).
+    /// [`MlqError::VersionMismatch`] for an intact envelope of a version
+    /// other than [`SNAPSHOT_VERSION`]; [`MlqError::SnapshotCorrupt`] on
+    /// any other validation failure.
     pub fn from_envelope(bytes: &[u8]) -> Result<Self, MlqError> {
-        match decode_envelope(bytes) {
-            Ok(snapshot) => Ok(snapshot),
-            Err(DecodeFailure::Corrupt(reason)) => Err(MlqError::SnapshotCorrupt { reason }),
-            Err(DecodeFailure::Version { found }) => Err(MlqError::SnapshotCorrupt {
-                reason: format!(
-                    "unsupported snapshot version {found} (this build reads \
-                     {SNAPSHOT_VERSION_JSON} and {SNAPSHOT_VERSION})"
-                ),
-            }),
-        }
+        let payload = open_versioned("envelope", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
+        TreeSnapshot::read_payload(payload)
+            .map_err(|e| MlqError::SnapshotCorrupt { reason: format!("payload {e}") })
     }
 }
 
@@ -528,24 +501,6 @@ impl Reader<'_> {
     }
 }
 
-fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
-    let (version, payload) = open_frame_any(SNAPSHOT_MAGIC, bytes)
-        .map_err(|e| DecodeFailure::Corrupt(format!("envelope {e}")))?;
-    // Checksum verified: a version difference is now a genuine format
-    // difference, not a flipped bit.
-    match version {
-        SNAPSHOT_VERSION => TreeSnapshot::read_payload(payload)
-            .map_err(|e| DecodeFailure::Corrupt(format!("payload {e}"))),
-        SNAPSHOT_VERSION_JSON => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| DecodeFailure::Corrupt("payload is not UTF-8".to_string()))?;
-            serde_json::from_str(text)
-                .map_err(|e| DecodeFailure::Corrupt(format!("payload does not parse: {e}")))
-        }
-        found => Err(DecodeFailure::Version { found }),
-    }
-}
-
 /// Seals `payload` in the `magic ‖ version ‖ length ‖ CRC-32 ‖ payload`
 /// envelope layout, under a caller chosen magic and version; snapshot
 /// envelopes are this frame under [`SNAPSHOT_MAGIC`]. The checksum
@@ -577,34 +532,37 @@ fn seal_in_place(magic: [u8; 4], version: u32, mut frame: Vec<u8>) -> Vec<u8> {
     frame
 }
 
-/// Opens a [`seal_frame`] envelope, validating magic, version, length,
-/// and checksum before handing back the payload slice. Never panics,
+/// Opens a [`seal_frame`] envelope, validating magic, length, checksum
+/// and version before handing back the payload slice. Never panics,
 /// whatever the bytes.
 ///
 /// # Errors
 ///
-/// [`MlqError::SnapshotCorrupt`] on any validation failure, including a
-/// version other than `version`.
+/// [`MlqError::VersionMismatch`] for an intact frame of a version other
+/// than `version`; [`MlqError::SnapshotCorrupt`] on any other validation
+/// failure.
 pub fn open_frame(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8], MlqError> {
-    let corrupt = |reason: String| MlqError::SnapshotCorrupt { reason };
-    let (found, payload) =
-        open_frame_any(magic, bytes).map_err(|e| corrupt(format!("frame {e}")))?;
-    if found != version {
-        return Err(corrupt(format!("unsupported frame version {found} (expected {version})")));
-    }
-    Ok(payload)
+    open_versioned("frame", magic, version, bytes)
 }
 
-/// Validates a frame's magic, length, and checksum and returns the
-/// version it records with its payload, whatever that version is — so
-/// callers can tell an intact frame from another format version apart
-/// from corruption.
-fn open_frame_any(magic: [u8; 4], bytes: &[u8]) -> Result<(u32, &[u8]), String> {
+/// [`open_frame`], naming the artifact `what` in corruption reasons. The
+/// version is compared only after the checksum verifies, so a mismatch
+/// is a genuine format difference, never a flipped bit.
+fn open_versioned<'a>(
+    what: &str,
+    magic: [u8; 4],
+    version: u32,
+    bytes: &'a [u8],
+) -> Result<&'a [u8], MlqError> {
+    let corrupt = |e: String| MlqError::SnapshotCorrupt { reason: format!("{what} {e}") };
     if bytes.len() < HEADER_LEN {
-        return Err(format!("truncated: {} bytes, header needs {HEADER_LEN}", bytes.len()));
+        return Err(corrupt(format!(
+            "truncated: {} bytes, header needs {HEADER_LEN}",
+            bytes.len()
+        )));
     }
     if bytes[0..4] != magic {
-        return Err("has bad magic".to_string());
+        return Err(corrupt("has bad magic".to_string()));
     }
     let version_bytes: [u8; 4] = bytes[4..8].try_into().expect("slice length checked");
     let len_bytes: [u8; 8] = bytes[8..16].try_into().expect("slice length checked");
@@ -612,15 +570,22 @@ fn open_frame_any(magic: [u8; 4], bytes: &[u8]) -> Result<(u32, &[u8]), String> 
     let payload = &bytes[HEADER_LEN..];
     let claimed = u64::from_le_bytes(len_bytes);
     if claimed != payload.len() as u64 {
-        return Err(format!("length mismatch: header claims {claimed}, found {}", payload.len()));
+        return Err(corrupt(format!(
+            "length mismatch: header claims {claimed}, found {}",
+            payload.len()
+        )));
     }
     let actual_crc = crc32(&[&version_bytes, &len_bytes, payload]);
     if actual_crc != stored_crc {
-        return Err(format!(
+        return Err(corrupt(format!(
             "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        ));
+        )));
     }
-    Ok((u32::from_le_bytes(version_bytes), payload))
+    let found = u32::from_le_bytes(version_bytes);
+    if found != version {
+        return Err(MlqError::VersionMismatch { found, supported: version });
+    }
+    Ok(payload)
 }
 
 impl MemoryLimitedQuadtree {
@@ -634,24 +599,25 @@ impl MemoryLimitedQuadtree {
     /// Only when `fallback` itself fails validation — a bad snapshot is
     /// reported through [`RestoreOutcome`], not as an error.
     pub fn restore(bytes: &[u8], fallback: MlqConfig) -> Result<RestoreOutcome, MlqError> {
-        match decode_envelope(bytes) {
-            Ok(snapshot) => match MemoryLimitedQuadtree::from_snapshot(&snapshot) {
-                Ok(model) => Ok(RestoreOutcome::Restored(model)),
-                Err(e) => Ok(RestoreOutcome::CorruptFellBackToFresh {
+        let restored = TreeSnapshot::from_envelope(bytes)
+            .and_then(|snapshot| MemoryLimitedQuadtree::from_snapshot(&snapshot));
+        Ok(match restored {
+            Ok(model) => RestoreOutcome::Restored(model),
+            Err(MlqError::VersionMismatch { found, supported }) => {
+                RestoreOutcome::VersionMismatch {
                     model: MemoryLimitedQuadtree::new(fallback)?,
-                    reason: e.to_string(),
-                }),
+                    found,
+                    supported,
+                }
+            }
+            Err(e) => RestoreOutcome::CorruptFellBackToFresh {
+                model: MemoryLimitedQuadtree::new(fallback)?,
+                reason: match e {
+                    MlqError::SnapshotCorrupt { reason } => reason,
+                    other => other.to_string(),
+                },
             },
-            Err(DecodeFailure::Corrupt(reason)) => Ok(RestoreOutcome::CorruptFellBackToFresh {
-                model: MemoryLimitedQuadtree::new(fallback)?,
-                reason,
-            }),
-            Err(DecodeFailure::Version { found }) => Ok(RestoreOutcome::VersionMismatch {
-                model: MemoryLimitedQuadtree::new(fallback)?,
-                found,
-                supported: SNAPSHOT_VERSION,
-            }),
-        }
+        })
     }
 }
 
@@ -808,33 +774,27 @@ mod tests {
         );
     }
 
-    /// `trained_model()`'s envelope as the JSON (version 1) encoder wrote
-    /// it, before the binary payload replaced it.
+    /// `trained_model()`'s envelope as the retired JSON (version 1)
+    /// encoder wrote it, before the binary payload replaced it.
     const V1_ENVELOPE: &[u8] = include_bytes!("../testdata/trained_model_v1.mlqs");
 
     #[test]
-    fn v1_envelopes_still_restore_and_reencode_as_v2() {
+    fn v1_envelopes_report_a_version_mismatch() {
         // The fixture is the version 1 golden envelope, byte for byte.
         assert_eq!(V1_ENVELOPE.len(), 3584);
         assert_eq!(crc32(&[V1_ENVELOPE]), 0xD162_2A77);
-        assert_eq!(V1_ENVELOPE[4..8], SNAPSHOT_VERSION_JSON.to_le_bytes());
+        assert_eq!(V1_ENVELOPE[4..8], 1u32.to_le_bytes());
 
-        let original = trained_model();
-        let restored = match MemoryLimitedQuadtree::restore(V1_ENVELOPE, fallback_config()) {
-            Ok(RestoreOutcome::Restored(model)) => model,
-            other => panic!("version 1 envelope did not restore: {other:?}"),
-        };
-        assert_eq!(restored.snapshot(), original.snapshot(), "summaries or structure differ");
-        assert_eq!(restored.node_count(), original.node_count());
-        assert_eq!(restored.has_compressed(), original.has_compressed());
-        for i in 0..100u32 {
-            let p = [f64::from(i * 7 % 1000), f64::from(i * 13 % 1000)];
-            assert_eq!(restored.predict(&p).unwrap(), original.predict(&p).unwrap());
+        match MemoryLimitedQuadtree::restore(V1_ENVELOPE, fallback_config()).unwrap() {
+            RestoreOutcome::VersionMismatch { found: 1, supported: 2, model } => {
+                assert_eq!(model.root_summary().count, 0);
+            }
+            other => panic!("expected VersionMismatch {{ found: 1, supported: 2 }}, got {other:?}"),
         }
-        // The encoder writes only the current version.
-        let reencoded = restored.snapshot().to_envelope();
-        assert_eq!(reencoded[4..8], SNAPSHOT_VERSION.to_le_bytes());
-        assert_eq!(reencoded, original.snapshot().to_envelope());
+        assert_eq!(
+            TreeSnapshot::from_envelope(V1_ENVELOPE),
+            Err(MlqError::VersionMismatch { found: 1, supported: SNAPSHOT_VERSION })
+        );
     }
 
     /// Byte length of the version-2 payload ahead of the compression
@@ -1008,14 +968,18 @@ mod tests {
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        // A binary payload stamped as the JSON version 1 is corrupt, not
-        // a mismatch: version 1 is still read.
-        bytes[4..8].copy_from_slice(&SNAPSHOT_VERSION_JSON.to_le_bytes());
+        assert_eq!(
+            TreeSnapshot::from_envelope(&bytes),
+            Err(MlqError::VersionMismatch { found: 99, supported: SNAPSHOT_VERSION })
+        );
+        // Stamped as the retired JSON version 1, it is a mismatch too:
+        // the version is judged before the payload is read.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         let crc = crc32(&[&bytes[4..8], &bytes[8..16], &bytes[HEADER_LEN..]]);
         bytes[16..20].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             MemoryLimitedQuadtree::restore(&bytes, fallback_config()).unwrap(),
-            RestoreOutcome::CorruptFellBackToFresh { .. }
+            RestoreOutcome::VersionMismatch { found: 1, supported: SNAPSHOT_VERSION, .. }
         ));
         // Without the checksum fix-up the same edit reads as corruption.
         let mut unstamped = trained_model().snapshot().to_envelope();
@@ -1048,9 +1012,13 @@ mod tests {
         let payload = b"some durable payload".to_vec();
         let sealed = seal_frame(*b"MLQX", 7, &payload);
         assert_eq!(open_frame(*b"MLQX", 7, &sealed).unwrap(), payload.as_slice());
-        // Wrong magic, wrong version, flipped bits, truncation: all loud.
-        assert!(open_frame(*b"XXXX", 7, &sealed).is_err());
-        assert!(open_frame(*b"MLQX", 8, &sealed).is_err());
+        // Wrong magic, wrong version, flipped bits, truncation: all loud,
+        // and only the intact frame of another version is a mismatch.
+        assert!(matches!(open_frame(*b"XXXX", 7, &sealed), Err(MlqError::SnapshotCorrupt { .. })));
+        assert_eq!(
+            open_frame(*b"MLQX", 8, &sealed),
+            Err(MlqError::VersionMismatch { found: 7, supported: 8 })
+        );
         for idx in [0, 5, 12, 17, sealed.len() - 1] {
             let mut mutated = sealed.clone();
             mutated[idx] ^= 1;

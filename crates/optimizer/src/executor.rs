@@ -3,7 +3,7 @@
 //! For independent predicates with per-tuple cost `c_i` and selectivity
 //! `s_i`, expected evaluation cost is minimized by evaluating in ascending
 //! `c_i / (1 − s_i)` — the predicate-ordering rank of Hellerstein &
-//! Stonebraker's *Predicate Migration* (the paper's reference [1]). The
+//! Stonebraker's *Predicate Migration* (the paper's reference \[1\]). The
 //! executor computes that rank per row from the estimators' *predicted*
 //! costs and the *observed* pass rates, then feeds every actual cost back
 //! into the estimators — the full Fig. 1 loop.

@@ -81,7 +81,7 @@ pub enum MaintainerMode {
 /// models exceed [`global_budget`](Self::global_budget) — runs one
 /// cross-model eviction pass that drops the globally smallest
 /// traffic-weighted-SSEG leaves first
-/// ([`evict_to_global_budget`](mlq_core::evict_to_global_budget)).
+/// ([`mlq_core::evict_to_global_budget`]).
 /// A prediction against a hibernated shard wakes it: the models are
 /// restored bit-identically from their envelopes and republished before
 /// the prediction is answered.
@@ -446,9 +446,6 @@ struct DurabilityCore {
     io: DurabilityIo,
     journal: Journal,
     shards: Vec<ShardDurability>,
-    /// Legacy per-shard journals replayed at startup, deleted once the
-    /// startup checkpoint covers them.
-    legacy: Vec<PathBuf>,
     shared: Arc<DurabilityShared>,
     commits: Counter,
     commit_nanos: Histogram,
@@ -458,8 +455,8 @@ struct DurabilityCore {
     checkpoint_failures: Counter,
     degraded_gauge: Gauge,
     /// Consecutive failed durable operations (commits, checkpoints,
-    /// truncations), each already retried per the [`RetryPolicy`]
-    /// (crate::wal::RetryPolicy). Reset by any success.
+    /// truncations), each already retried per the
+    /// [`RetryPolicy`](crate::wal::RetryPolicy). Reset by any success.
     failure_streak: u32,
     batches_since_checkpoint: u64,
 }
@@ -594,18 +591,13 @@ impl DurabilityCore {
 
     /// Establishes the recovery baseline at build time: a fresh
     /// checkpoint per shard, then the journal truncated down to this
-    /// service's name table and the replayed legacy journals deleted.
-    /// Nothing on disk is dropped until the checkpoints covering it have
-    /// published, so a crash mid-startup still recovers from the old
-    /// state. A service that cannot establish its baseline must not
-    /// journal, so any startup failure degrades the layer immediately
-    /// rather than waiting for the runtime streak.
+    /// service's name table. Nothing on disk is dropped until the
+    /// checkpoints covering it have published, so a crash mid-startup
+    /// still recovers from the old state. A service that cannot establish
+    /// its baseline must not journal, so any startup failure degrades the
+    /// layer immediately rather than waiting for the runtime streak.
     fn startup(&mut self, shards: &[ShardModels]) {
-        if self.checkpoint_all(shards) {
-            for path in self.legacy.drain(..) {
-                let _ = std::fs::remove_file(path);
-            }
-        } else if self.shared.status() == DurabilityStatus::Active {
+        if !self.checkpoint_all(shards) && self.shared.status() == DurabilityStatus::Active {
             self.degrade();
         }
     }
@@ -1235,14 +1227,12 @@ impl ConcurrentEstimatorBuilder {
         // Recovery: disk state replaces (or adds to) same-name registered
         // shards; the checkpointed trees carry their own configuration.
         let mut dur_io = None;
-        let mut legacy = Vec::new();
         if let Some(dconfig) = &durability {
             std::fs::create_dir_all(&dconfig.dir).map_err(|e| MlqError::IoFault {
                 reason: format!("durability dir create {}: {e}", dconfig.dir.display()),
             })?;
             dur_io = Some(DurabilityIo::new(dconfig)?);
             let recovered = recover_dir(&dconfig.dir)?;
-            legacy = recovered.legacy;
             for shard in recovered.shards {
                 let replayed = shard.records.len() as u64;
                 let p = PendingShard {
@@ -1262,17 +1252,16 @@ impl ConcurrentEstimatorBuilder {
                     None => pending.push(p),
                 }
             }
-            for (stem, reason) in recovered.unreadable {
+            for (stem, kind, reason) in recovered.unreadable {
                 match pending.iter_mut().find(|e| shard_stem(&e.name) == stem) {
                     Some(existing) => {
-                        existing.kind = RestoreKind::CorruptRecovered;
-                        existing.detail = format!(
-                            "every generation failed verification ({reason}); serving fresh"
-                        );
+                        existing.kind = kind;
+                        existing.detail =
+                            format!("no generation could be restored ({reason}); serving fresh");
                     }
                     None => report.shards.push(ShardRecovery {
                         name: stem,
-                        kind: RestoreKind::CorruptRecovered,
+                        kind,
                         checkpoint_seq: 0,
                         replayed: 0,
                         recovered_seq: 0,
@@ -1374,7 +1363,6 @@ impl ConcurrentEstimatorBuilder {
                     io,
                     journal,
                     shards: dur_shards,
-                    legacy,
                     shared: core_shared,
                     commits: registry.counter("mlq_serve_wal_commits"),
                     commit_nanos: registry.histogram("mlq_serve_wal_commit_nanos"),

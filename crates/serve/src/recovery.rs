@@ -21,9 +21,6 @@
 //! feedback.journal      the service-wide feedback journal (see wal.rs)
 //! ```
 //!
-//! A directory written before the shared journal may also hold one
-//! legacy `{stem}.wal` journal per shard; recovery replays it once.
-//!
 //! The meta file is written last, through a temporary and an atomic
 //! rename — it *publishes* the generation. A crash between the tree
 //! files and the meta leaves a headless generation that recovery never
@@ -33,24 +30,35 @@
 //! rot in the newest one degrades recovery ("corrupt-recovered") instead
 //! of losing the shard. Anything older is pruned.
 //!
+//! ## Retired formats
+//!
+//! An artifact that is intact but in a format this build does not read
+//! is reported as [`RestoreKind::VersionMismatch`], never as corruption:
+//!
+//! - a meta frame or tree envelope of another version (such as the JSON
+//!   version-1 envelope) rejects its generation, so the shard is served
+//!   from the newest generation that verifies, or fresh if none does;
+//! - a `{stem}.wal` per-shard journal, which builds before the shared
+//!   journal wrote, is not replayed and is left on disk; the shard is
+//!   served from its checkpoint and `detail` names the file.
+//!
 //! ## Recovery protocol
 //!
 //! 1. Discover shards by their `{stem}.{G}.meta` files.
 //! 2. Per shard, load the newest fully valid generation.
 //! 3. Scan the journal's valid prefix once, routing each record to its
-//!    shard by the name table (after any legacy journal's records); per
-//!    shard, keep the contiguous run of records with sequence numbers
-//!    greater than the checkpoint's.
+//!    shard by the name table; per shard, keep the contiguous run of
+//!    records with sequence numbers greater than the checkpoint's.
 //! 4. Replay that run through the normal guarded-apply path (the caller
 //!    does this, with the imported guard states, so replay decisions are
 //!    exactly the live decisions).
-//! 5. Write a fresh checkpoint of every shard, then truncate the journal
-//!    and delete the legacy journals, so a crash during recovery itself
-//!    still recovers from the old state.
+//! 5. Write a fresh checkpoint of every shard, then truncate the journal,
+//!    so a crash during recovery itself still recovers from the old
+//!    state.
 
 use crate::wal::{
-    read_journal, read_legacy_wal, shard_stem, write_file_durable, ByteReader, CrashOp,
-    DurabilityIo, WalError, WalRecord, JOURNAL_FILE,
+    read_journal, shard_stem, write_file_durable, ByteReader, CrashOp, DurabilityIo, WalError,
+    WalRecord, JOURNAL_FILE,
 };
 use mlq_core::{
     open_frame, seal_frame, BreakerState, GuardCounters, GuardState, MemoryLimitedQuadtree,
@@ -81,6 +89,11 @@ pub enum RestoreKind {
     /// The newest durable state failed verification; an older generation
     /// (or a fresh model) served as the fallback.
     CorruptRecovered,
+    /// Recovery passed over an intact artifact in a format this build
+    /// does not read: a generation of another version (an older one, or
+    /// a fresh model, served instead) or a retired per-shard journal
+    /// (not replayed). Takes precedence over `CorruptRecovered`.
+    VersionMismatch,
 }
 
 impl RestoreKind {
@@ -91,6 +104,7 @@ impl RestoreKind {
             RestoreKind::Restored => "restored",
             RestoreKind::Fresh => "fresh",
             RestoreKind::CorruptRecovered => "corrupt_recovered",
+            RestoreKind::VersionMismatch => "version_mismatch",
         }
     }
 }
@@ -108,7 +122,8 @@ pub struct ShardRecovery {
     pub replayed: u64,
     /// Highest sequence number reflected in the recovered models.
     pub recovered_seq: u64,
-    /// Human-readable notes: which generation, journal tail state.
+    /// Human-readable notes: which generation, what was passed over and
+    /// why, journal tail state.
     pub detail: String,
 }
 
@@ -138,12 +153,24 @@ pub(crate) struct RecoveredShard {
 /// Everything a durability directory yielded.
 pub(crate) struct DirRecovery {
     pub shards: Vec<RecoveredShard>,
-    /// Stems whose every generation failed verification: no model or
-    /// configuration could be reconstructed. `(stem, reason)`.
-    pub unreadable: Vec<(String, String)>,
-    /// Legacy per-shard journals whose records were routed into
-    /// `shards`; deleted once the startup checkpoint covers them.
-    pub legacy: Vec<PathBuf>,
+    /// Stems with no generation that could be restored, so no model or
+    /// configuration could be reconstructed: `(stem, kind, reason)`,
+    /// `kind` being `CorruptRecovered` or `VersionMismatch`.
+    pub unreadable: Vec<(String, RestoreKind, String)>,
+}
+
+/// Why a generation was passed over: the [`RestoreKind`] it makes the
+/// shard's outcome, and a reason for the report.
+type Rejection = (RestoreKind, String);
+
+/// The outcome an artifact that failed to open with `e` gives its shard:
+/// a version mismatch for an intact artifact of another format version,
+/// corruption for anything else.
+fn rejection_kind(e: &MlqError) -> RestoreKind {
+    match e {
+        MlqError::VersionMismatch { .. } => RestoreKind::VersionMismatch,
+        _ => RestoreKind::CorruptRecovered,
+    }
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -253,8 +280,13 @@ fn encode_meta(meta: &Meta) -> Vec<u8> {
     seal_frame(META_MAGIC, META_VERSION, &payload)
 }
 
-fn decode_meta(bytes: &[u8]) -> Result<Meta, String> {
-    let payload = open_frame(META_MAGIC, META_VERSION, bytes).map_err(|e| e.to_string())?;
+fn decode_meta(bytes: &[u8]) -> Result<Meta, Rejection> {
+    let payload = open_frame(META_MAGIC, META_VERSION, bytes)
+        .map_err(|e| (rejection_kind(&e), e.to_string()))?;
+    read_meta(payload).map_err(|reason| (RestoreKind::CorruptRecovered, reason))
+}
+
+fn read_meta(payload: &[u8]) -> Result<Meta, String> {
     let mut r = ByteReader::new(payload);
     let name_len = r.u32()? as usize;
     if name_len > MAX_NAME_LEN {
@@ -363,20 +395,24 @@ fn list_generations(dir: &Path, stem: &str) -> Vec<(u64, PathBuf)> {
 }
 
 /// Tries to load one full generation: meta plus both tree envelopes.
-fn load_generation(dir: &Path, stem: &str, meta_path: &Path) -> Result<RecoveredShard, String> {
-    let bytes = std::fs::read(meta_path).map_err(|e| format!("meta read: {e}"))?;
+fn load_generation(dir: &Path, stem: &str, meta_path: &Path) -> Result<RecoveredShard, Rejection> {
+    let corrupt = |reason: String| (RestoreKind::CorruptRecovered, reason);
+    let bytes = std::fs::read(meta_path).map_err(|e| corrupt(format!("meta read: {e}")))?;
     let meta = decode_meta(&bytes)?;
     if shard_stem(&meta.name) != stem {
-        return Err(format!("meta names shard {:?}, which does not match stem {stem}", meta.name));
+        return Err(corrupt(format!(
+            "meta names shard {:?}, which does not match stem {stem}",
+            meta.name
+        )));
     }
-    let load_tree = |suffix: &str| -> Result<MemoryLimitedQuadtree, String> {
+    let load_tree = |suffix: &str| -> Result<MemoryLimitedQuadtree, Rejection> {
         let path = gen_path(dir, stem, meta.generation, suffix);
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("tree read {}: {e}", path.display()))?;
+        let bytes = std::fs::read(&path)
+            .map_err(|e| corrupt(format!("tree read {}: {e}", path.display())))?;
         let snapshot = TreeSnapshot::from_envelope(&bytes)
-            .map_err(|e| format!("tree envelope {}: {e}", path.display()))?;
+            .map_err(|e| (rejection_kind(&e), format!("tree envelope {}: {e}", path.display())))?;
         MemoryLimitedQuadtree::from_snapshot(&snapshot)
-            .map_err(|e| format!("tree rebuild {}: {e}", path.display()))
+            .map_err(|e| corrupt(format!("tree rebuild {}: {e}", path.display())))
     };
     let cpu = load_tree("cpu.mlqs")?;
     let io = load_tree("io.mlqs")?;
@@ -397,7 +433,8 @@ fn load_generation(dir: &Path, stem: &str, meta_path: &Path) -> Result<Recovered
 /// Recovers every shard a durability directory holds: newest valid
 /// generation per shard plus the contiguous journal tail to replay,
 /// routed out of one scan of the shared journal. A missing directory
-/// recovers nothing (first boot).
+/// recovers nothing (first boot). A retired `{stem}.wal` journal beside
+/// a shard's checkpoints is reported, not read.
 ///
 /// # Errors
 ///
@@ -419,11 +456,7 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(DirRecovery {
-                shards: Vec::new(),
-                unreadable: Vec::new(),
-                legacy: Vec::new(),
-            });
+            return Ok(DirRecovery { shards: Vec::new(), unreadable: Vec::new() });
         }
         Err(e) => {
             return Err(MlqError::IoFault {
@@ -436,13 +469,18 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
     let mut unreadable = Vec::new();
     for (stem, mut generations) in stems {
         generations.sort_by_key(|g| std::cmp::Reverse(g.0));
+        let wal = dir.join(format!("{stem}.wal"));
+        let retired = wal
+            .exists()
+            .then(|| format!("{} is a retired per-shard journal, not replayed", wal.display()));
+        let mut kind =
+            if retired.is_some() { RestoreKind::VersionMismatch } else { RestoreKind::Restored };
         let mut chosen: Option<RecoveredShard> = None;
         let mut failures: Vec<String> = Vec::new();
-        for (i, (generation, meta_path)) in generations.iter().enumerate() {
+        for (generation, meta_path) in &generations {
             match load_generation(dir, &stem, meta_path) {
                 Ok(mut shard) => {
-                    shard.kind =
-                        if i == 0 { RestoreKind::Restored } else { RestoreKind::CorruptRecovered };
+                    shard.kind = kind;
                     shard.detail = if failures.is_empty() {
                         format!("generation {generation}")
                     } else {
@@ -454,29 +492,35 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
                     chosen = Some(shard);
                     break;
                 }
-                Err(reason) => failures.push(format!("gen {generation}: {reason}")),
+                Err((why, reason)) => {
+                    if kind != RestoreKind::VersionMismatch {
+                        kind = why;
+                    }
+                    failures.push(format!("gen {generation}: {reason}"));
+                }
             }
         }
         match chosen {
-            Some(shard) => shards.push(shard),
-            None => unreadable.push((stem, failures.join("; "))),
+            Some(mut shard) => {
+                if let Some(note) = retired {
+                    shard.detail.push_str(&format!("; {note}"));
+                }
+                shards.push(shard);
+            }
+            None => {
+                failures.extend(retired);
+                unreadable.push((stem, kind, failures.join("; ")));
+            }
         }
     }
 
-    // One scan of the shared journal, routed by name. A shard's legacy
-    // journal predates every record of the shared one, so it goes first.
+    // One scan of the shared journal, routed by name.
     let journal = read_journal(&dir.join(JOURNAL_FILE))?;
     let mut routed: Vec<Vec<WalRecord>> = vec![Vec::new(); journal.names.len()];
     for (idx, rec) in journal.records {
         routed[idx].push(rec);
     }
-    let mut legacy = Vec::new();
     for shard in &mut shards {
-        let legacy_path = dir.join(format!("{}.wal", shard_stem(&shard.name)));
-        let old = read_legacy_wal(&legacy_path)?;
-        if legacy_path.exists() {
-            legacy.push(legacy_path);
-        }
         let shared = journal
             .names
             .iter()
@@ -485,7 +529,7 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
             .unwrap_or_default();
         // The journal tail: records past the checkpoint, contiguous.
         let mut expected = shard.checkpoint_seq + 1;
-        for rec in old.records.into_iter().map(|(_, rec)| rec).chain(shared) {
+        for rec in shared {
             if rec.seq < expected {
                 continue; // already covered by the checkpoint
             }
@@ -499,24 +543,18 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<DirRecovery, MlqError> {
                 break;
             }
         }
-        for (kind, scan_torn, valid_len) in [
-            ("legacy journal", &old.torn, old.valid_len),
-            ("journal", &journal.torn, journal.valid_len),
-        ] {
-            if let Some(torn) = scan_torn {
-                shard
-                    .detail
-                    .push_str(&format!("; {kind} tail: {torn} (valid prefix {valid_len} bytes)"));
-            }
+        if let Some(torn) = &journal.torn {
+            let valid = journal.valid_len;
+            shard.detail.push_str(&format!("; journal tail: {torn} (valid prefix {valid} bytes)"));
         }
     }
-    Ok(DirRecovery { shards, unreadable, legacy })
+    Ok(DirRecovery { shards, unreadable })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{encode_legacy_record, DurabilityConfig, Journal};
+    use crate::wal::{DurabilityConfig, Journal};
     use mlq_core::{CostModel, GuardConfig, GuardedModel, InsertionStrategy, MlqConfig, Space};
     use mlq_udfs::ExecutionCost;
 
@@ -657,6 +695,7 @@ mod tests {
         assert!(rec.shards.is_empty());
         assert_eq!(rec.unreadable.len(), 1);
         assert_eq!(rec.unreadable[0].0, shard_stem("WIN"));
+        assert_eq!(rec.unreadable[0].1, RestoreKind::CorruptRecovered);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -683,37 +722,115 @@ mod tests {
         let seqs: Vec<u64> = shard.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5]);
         assert!(shard.records.iter().all(|r| r.point[1] == 0.0), "another shard's record leaked");
-        assert!(rec.legacy.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The core crate's JSON (version 1) golden envelope, a tree format
+    /// this build no longer reads.
+    const V1_ENVELOPE: &[u8] = include_bytes!("../../core/testdata/trained_model_v1.mlqs");
+
+    /// Checkpoints WIN's trained pair as generation `g` at seq `100 g`
+    /// for every `g` in `generations`; returns the pair.
+    fn write_generations(
+        dir: &Path,
+        generations: &[u64],
+    ) -> (MemoryLimitedQuadtree, MemoryLimitedQuadtree, GuardState, GuardState) {
+        let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
+        let mut io = quiet_io();
+        for &g in generations {
+            checkpoint(&mut io, dir, "WIN", g, 100 * g, &cpu, &io_model, &cpu_guard, &io_guard)
+                .unwrap();
+        }
+        (cpu, io_model, cpu_guard, io_guard)
+    }
+
+    /// Re-seals WIN's generation-`g` meta frame, intact, as `version`.
+    fn reseal_meta(dir: &Path, g: u64, version: u32) {
+        let path = gen_path(dir, &shard_stem("WIN"), g, "meta");
+        let bytes = std::fs::read(&path).unwrap();
+        let payload = open_frame(META_MAGIC, META_VERSION, &bytes).unwrap();
+        std::fs::write(&path, seal_frame(META_MAGIC, version, payload)).unwrap();
+    }
+
+    #[test]
+    fn newest_generation_of_another_version_is_a_mismatch_served_from_the_previous() {
+        for tag in ["meta", "v1_tree"] {
+            let dir = temp_dir(&format!("mismatch_{tag}"));
+            let (cpu, io_model, cpu_guard, io_guard) = write_generations(&dir, &[1, 2]);
+            if tag == "meta" {
+                reseal_meta(&dir, 2, META_VERSION + 1);
+            } else {
+                let path = gen_path(&dir, &shard_stem("WIN"), 2, "cpu.mlqs");
+                std::fs::write(path, V1_ENVELOPE).unwrap();
+            }
+
+            let rec = recover_dir(&dir).unwrap();
+            assert!(rec.unreadable.is_empty(), "{tag}");
+            let shard = &rec.shards[0];
+            assert_eq!(shard.kind, RestoreKind::VersionMismatch, "{tag}: {}", shard.detail);
+            assert_eq!((shard.generation, shard.checkpoint_seq), (1, 100), "{tag}");
+            assert!(shard.detail.contains("gen 2: ") && shard.detail.contains("format version"));
+            assert_eq!((&shard.cpu_guard, &shard.io_guard), (&cpu_guard, &io_guard), "{tag}");
+            assert_eq!(shard.cpu.snapshot().to_envelope(), cpu.snapshot().to_envelope(), "{tag}");
+            assert_eq!(shard.io.snapshot().to_envelope(), io_model.snapshot().to_envelope());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn no_current_format_generation_is_an_unreadable_mismatch() {
+        let dir = temp_dir("mismatch_all");
+        write_generations(&dir, &[1, 2]);
+        reseal_meta(&dir, 2, META_VERSION + 1);
+        std::fs::write(gen_path(&dir, &shard_stem("WIN"), 1, "io.mlqs"), V1_ENVELOPE).unwrap();
+        let wal_path = dir.join(format!("{}.wal", shard_stem("WIN")));
+        std::fs::write(&wal_path, b"per-shard frames").unwrap();
+
+        let rec = recover_dir(&dir).unwrap();
+        assert!(rec.shards.is_empty());
+        let (stem, kind, reason) = &rec.unreadable[0];
+        assert_eq!((stem.as_str(), *kind), ("WIN", RestoreKind::VersionMismatch));
+        assert!(reason.contains("gen 2: ") && reason.contains("gen 1: "), "{reason}");
+        assert!(reason.contains(&format!("{} is a retired", wal_path.display())), "{reason}");
+        assert_eq!(rec.unreadable.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn legacy_journal_records_precede_the_shared_journal() {
-        let dir = temp_dir("legacy");
-        let (cpu, io_model, cpu_guard, io_guard) = trained_pair();
-        let mut io = quiet_io();
-        checkpoint(&mut io, &dir, "WIN", 1, 2, &cpu, &io_model, &cpu_guard, &io_guard).unwrap();
-        let cost = ExecutionCost { cpu: 1.0, io: 1.0, results: 1 };
-        // A legacy `{stem}.wal` holds seq 1..=3.
-        let mut legacy = Vec::new();
-        for i in 1..=3u32 {
-            encode_legacy_record(&mut legacy, u64::from(i), &[f64::from(i), 0.0], cost);
-        }
-        let legacy_path = dir.join(format!("{}.wal", shard_stem("WIN")));
-        std::fs::write(&legacy_path, &legacy).unwrap();
-        // The shared journal continues at seq 4.
-        let mut wal =
-            Journal::open_preserving(dir.join(JOURNAL_FILE), vec!["WIN".into()], vec![3]).unwrap();
-        wal.truncate(&mut io).unwrap();
-        for i in 4..=5u32 {
-            wal.append(0, &[f64::from(i), 0.0], cost);
-        }
-        wal.commit(&mut io).unwrap();
+    fn a_mismatch_outranks_corruption_of_another_generation() {
+        let dir = temp_dir("mismatch_corrupt");
+        write_generations(&dir, &[1, 2, 3]);
+        reseal_meta(&dir, 3, META_VERSION + 1);
+        std::fs::write(gen_path(&dir, &shard_stem("WIN"), 2, "meta"), b"garbage").unwrap();
 
         let rec = recover_dir(&dir).unwrap();
-        let seqs: Vec<u64> = rec.shards[0].records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![3, 4, 5]);
-        assert_eq!(rec.legacy, vec![legacy_path]);
+        let shard = &rec.shards[0];
+        assert_eq!((shard.kind, shard.generation), (RestoreKind::VersionMismatch, 1));
+        assert!(shard.detail.contains("gen 3: ") && shard.detail.contains("gen 2: "));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_retired_per_shard_journal_is_reported_not_replayed() {
+        let dir = temp_dir("retired_wal");
+        write_generations(&dir, &[1]);
+        let wal_path = dir.join(format!("{}.wal", shard_stem("WIN")));
+        std::fs::write(&wal_path, b"per-shard frames").unwrap();
+        // The shared journal still replays past the checkpoint.
+        let cost = ExecutionCost { cpu: 1.0, io: 1.0, results: 1 };
+        let mut wal =
+            Journal::open_preserving(dir.join(JOURNAL_FILE), vec!["WIN".into()], vec![100])
+                .unwrap();
+        wal.truncate(&mut quiet_io()).unwrap();
+        wal.append(0, &[1.0, 0.0], cost);
+        wal.commit(&mut quiet_io()).unwrap();
+
+        let rec = recover_dir(&dir).unwrap();
+        let shard = &rec.shards[0];
+        assert_eq!((shard.kind, shard.generation), (RestoreKind::VersionMismatch, 1));
+        assert_eq!(shard.records.iter().map(|r| r.seq).collect::<Vec<_>>(), [101]);
+        assert!(shard.detail.contains(&format!("{} is a retired", wal_path.display())));
+        assert!(wal_path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -50,10 +50,10 @@
 //! at the first frame that fails its length or checksum — a torn tail
 //! (the signature of a crash mid-write) is truncated, not an error.
 //!
-//! Directories written before the shared journal hold one `{stem}.wal`
-//! file per shard: the same frames with no name table and no shard
-//! field. [`read_legacy_wal`] still reads them, so startup replays them
-//! once; they are deleted after the startup checkpoint publishes.
+//! Builds before the shared journal wrote one `{stem}.wal` file per
+//! shard instead. That format is retired: recovery does not replay such
+//! a file, leaves it on disk and reports its shard as a version mismatch
+//! (see the recovery module).
 //!
 //! ## Group commit
 //!
@@ -82,7 +82,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// File name of the service-wide journal inside a durability directory.
-/// Shard stems never contain a `.`, so it cannot collide with a legacy
+/// Shard stems never contain a `.`, so it cannot collide with a retired
 /// `{stem}.wal` journal or a checkpoint file.
 pub(crate) const JOURNAL_FILE: &str = "feedback.journal";
 
@@ -97,8 +97,8 @@ const JOURNAL_VERSION: u32 = 1;
 /// hundred bytes; anything claiming more is corruption, not data.
 const MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// Fixed record payload bytes besides the coordinates, in the legacy
-/// layout: seq + dims + cpu + io + results.
+/// Fixed record payload bytes after the shard index, besides the
+/// coordinates: seq + dims + cpu + io + results.
 const FIXED_PAYLOAD: usize = 8 + 4 + 8 + 8 + 8;
 
 /// One durable feedback observation.
@@ -141,33 +141,15 @@ fn encode_head(out: &mut Vec<u8>, names: &[String]) {
 fn encode_record(out: &mut Vec<u8>, shard: u32, seq: u64, point: &[f64], cost: ExecutionCost) {
     push_frame(out, |out| {
         out.extend_from_slice(&shard.to_le_bytes());
-        put_observation(out, seq, point, cost);
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&(point.len() as u32).to_le_bytes());
+        for &c in point {
+            out.extend_from_slice(&c.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&cost.cpu.to_bits().to_le_bytes());
+        out.extend_from_slice(&cost.io.to_bits().to_le_bytes());
+        out.extend_from_slice(&cost.results.to_le_bytes());
     });
-}
-
-/// Writes a record payload in the legacy layout, which is the journal
-/// record without its leading shard index.
-fn put_observation(out: &mut Vec<u8>, seq: u64, point: &[f64], cost: ExecutionCost) {
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(point.len() as u32).to_le_bytes());
-    for &c in point {
-        out.extend_from_slice(&c.to_bits().to_le_bytes());
-    }
-    out.extend_from_slice(&cost.cpu.to_bits().to_le_bytes());
-    out.extend_from_slice(&cost.io.to_bits().to_le_bytes());
-    out.extend_from_slice(&cost.results.to_le_bytes());
-}
-
-/// Appends one frame of a legacy per-shard journal, as builds before the
-/// shared journal wrote it.
-#[cfg(test)]
-pub(crate) fn encode_legacy_record(
-    out: &mut Vec<u8>,
-    seq: u64,
-    point: &[f64],
-    cost: ExecutionCost,
-) {
-    push_frame(out, |out| put_observation(out, seq, point, cost));
 }
 
 /// A panic-free little-endian cursor over untrusted bytes: journal
@@ -238,7 +220,7 @@ fn decode_head(payload: &[u8]) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-/// Decodes a record payload in the legacy layout.
+/// Decodes a record payload after its shard index.
 fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
     if payload.len() < FIXED_PAYLOAD {
         return Err(format!("record payload too short: {} bytes", payload.len()));
@@ -270,10 +252,10 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
 /// Result of scanning one journal file front to back.
 #[derive(Debug)]
 pub(crate) struct WalScan {
-    /// The name table (empty for a legacy per-shard file).
+    /// The name table.
     pub names: Vec<String>,
     /// Every record in the valid prefix, in file order, with its shard
-    /// index into `names` (0 throughout a legacy file).
+    /// index into `names`.
     pub records: Vec<(usize, WalRecord)>,
     /// Byte length of the valid prefix.
     pub valid_len: u64,
@@ -281,57 +263,27 @@ pub(crate) struct WalScan {
     pub torn: Option<String>,
 }
 
-/// Walks the frames of the file at `path`, handing each checksummed
-/// payload to `visit`, and stops at the first torn or corrupt frame or
-/// the first payload `visit` rejects. A missing file reads as empty.
-fn scan_file(
-    path: &Path,
-    mut visit: impl FnMut(&[u8]) -> Result<(), String>,
-) -> Result<(u64, Option<String>), MlqError> {
+/// Scans the service-wide journal at `path`: the name table, then every
+/// record in the valid prefix. A missing file reads as an empty journal;
+/// the scan stops at the first torn or corrupt frame, or the first
+/// payload that does not decode, and reports the valid prefix before it.
+///
+/// # Errors
+///
+/// [`MlqError::IoFault`] only when the file exists but cannot be read.
+pub(crate) fn read_journal(path: &Path) -> Result<WalScan, MlqError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, None)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => {
             return Err(MlqError::IoFault {
                 reason: format!("journal read {}: {e}", path.display()),
             });
         }
     };
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + 8) else {
-            return Ok((pos as u64, Some(format!("torn frame header at byte {pos}"))));
-        };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("length checked"));
-        let stored_crc = u32::from_le_bytes(header[4..8].try_into().expect("length checked"));
-        if len > MAX_FRAME_LEN {
-            return Ok((pos as u64, Some(format!("frame at byte {pos} claims {len} bytes"))));
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            return Ok((pos as u64, Some(format!("torn frame payload at byte {pos}"))));
-        };
-        if mlq_core::crc32_ieee(&[payload]) != stored_crc {
-            return Ok((pos as u64, Some(format!("frame checksum mismatch at byte {pos}"))));
-        }
-        if let Err(reason) = visit(payload) {
-            return Ok((pos as u64, Some(format!("frame at byte {pos}: {reason}"))));
-        }
-        pos += 8 + len as usize;
-    }
-    Ok((pos as u64, None))
-}
-
-/// Scans the service-wide journal at `path`: the name table, then every
-/// record in the valid prefix. A missing file reads as an empty journal;
-/// a torn or corrupt tail ends the scan at the last valid frame.
-///
-/// # Errors
-///
-/// [`MlqError::IoFault`] only when the file exists but cannot be read.
-pub(crate) fn read_journal(path: &Path) -> Result<WalScan, MlqError> {
     let mut names: Option<Vec<String>> = None;
     let mut records = Vec::new();
-    let (valid_len, torn) = scan_file(path, |payload| {
+    let mut visit = |payload: &[u8]| -> Result<(), String> {
         if let Some(names) = &names {
             let shard = ByteReader::new(payload).u32()? as usize;
             if shard >= names.len() {
@@ -342,23 +294,32 @@ pub(crate) fn read_journal(path: &Path) -> Result<WalScan, MlqError> {
             names = Some(decode_head(payload)?);
         }
         Ok(())
-    })?;
-    Ok(WalScan { names: names.unwrap_or_default(), records, valid_len, torn })
-}
-
-/// Scans a legacy per-shard `{stem}.wal` journal, which holds one
-/// shard's records with no name table and no shard field.
-///
-/// # Errors
-///
-/// [`MlqError::IoFault`] only when the file exists but cannot be read.
-pub(crate) fn read_legacy_wal(path: &Path) -> Result<WalScan, MlqError> {
-    let mut records = Vec::new();
-    let (valid_len, torn) = scan_file(path, |payload| {
-        records.push((0, decode_record(payload)?));
-        Ok(())
-    })?;
-    Ok(WalScan { names: Vec::new(), records, valid_len, torn })
+    };
+    let mut pos = 0usize;
+    let torn = loop {
+        if pos == bytes.len() {
+            break None;
+        }
+        let Some(header) = bytes.get(pos..pos + 8) else {
+            break Some(format!("torn frame header at byte {pos}"));
+        };
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("length checked"));
+        let stored_crc = u32::from_le_bytes(header[4..8].try_into().expect("length checked"));
+        if len > MAX_FRAME_LEN {
+            break Some(format!("frame at byte {pos} claims {len} bytes"));
+        }
+        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
+            break Some(format!("torn frame payload at byte {pos}"));
+        };
+        if mlq_core::crc32_ieee(&[payload]) != stored_crc {
+            break Some(format!("frame checksum mismatch at byte {pos}"));
+        }
+        if let Err(reason) = visit(payload) {
+            break Some(format!("frame at byte {pos}: {reason}"));
+        }
+        pos += 8 + len as usize;
+    };
+    Ok(WalScan { names: names.unwrap_or_default(), records, valid_len: pos as u64, torn })
 }
 
 /// A filesystem-safe stem for a shard name: ASCII alphanumerics and `-`
@@ -1052,24 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_per_shard_journals_still_read() {
-        let dir = temp_dir("legacy");
-        let path = dir.join("s.wal");
-        let mut bytes = Vec::new();
-        for seq in 1..=3u64 {
-            encode_legacy_record(&mut bytes, seq, &[seq as f64], cost(2.0, 0.5));
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let scan = read_legacy_wal(&path).unwrap();
-        assert!(scan.torn.is_none());
-        assert_eq!(seqs_of(&scan, 0), [1, 2, 3]);
-        assert_eq!(scan.records[2].1.point, [3.0]);
-        // The shared journal's reader refuses a file without a name table.
-        assert!(read_journal(&path).unwrap().torn.is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn torn_tail_is_truncated_to_last_valid_frame() {
         let dir = temp_dir("torn");
         let path = dir.join(JOURNAL_FILE);
@@ -1106,15 +1049,11 @@ mod tests {
 
     #[test]
     fn missing_journal_reads_empty() {
-        for scan in [
-            read_journal(Path::new("/nonexistent/never/feedback.journal")).unwrap(),
-            read_legacy_wal(Path::new("/nonexistent/never/s.wal")).unwrap(),
-        ] {
-            assert!(scan.names.is_empty());
-            assert!(scan.records.is_empty());
-            assert_eq!(scan.valid_len, 0);
-            assert!(scan.torn.is_none());
-        }
+        let scan = read_journal(Path::new("/nonexistent/never/feedback.journal")).unwrap();
+        assert!(scan.names.is_empty());
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.valid_len, 0);
+        assert!(scan.torn.is_none());
     }
 
     #[test]

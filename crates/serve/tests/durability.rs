@@ -383,6 +383,56 @@ fn corrupt_newest_checkpoint_recovers_from_previous_generation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The core crate's JSON (version 1) tree envelope, a retired format.
+const V1_ENVELOPE: &[u8] = include_bytes!("../../core/testdata/trained_model_v1.mlqs");
+
+/// A newest generation holding a tree in a retired format is passed over
+/// for the previous one and surfaces as `version_mismatch`, not as
+/// corruption, in both the report and `mlq_serve_restore_outcome`.
+#[test]
+fn retired_envelope_in_newest_checkpoint_is_a_version_mismatch() {
+    let seed = harness_seed() ^ 0x0E1;
+    let dir = temp_dir("retired_envelope");
+    let stream = workload(seed, PHASE_A);
+    let svc = build_durable(&dir, None);
+    feed(&svc, &stream);
+    svc.shutdown();
+
+    let mut newest: BTreeMap<String, u64> = BTreeMap::new();
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if let Some((stem, generation)) =
+            name.strip_suffix(".meta").and_then(|p| p.rsplit_once('.'))
+        {
+            let generation: u64 = generation.parse().unwrap();
+            let e = newest.entry(stem.to_string()).or_insert(generation);
+            *e = (*e).max(generation);
+        }
+    }
+    assert_eq!(newest.len(), NAMES.len());
+    for (stem, generation) in &newest {
+        std::fs::write(dir.join(format!("{stem}.{generation}.cpu.mlqs")), V1_ENVELOPE).unwrap();
+    }
+
+    let svc = build_durable(&dir, None);
+    let metrics = svc.metrics();
+    for shard in &svc.recovery_report().shards {
+        assert_eq!(shard.kind, RestoreKind::VersionMismatch, "{}: {}", shard.name, shard.detail);
+        assert_eq!(
+            metrics.counter_labeled(
+                "mlq_serve_restore_outcome",
+                &[("udf", &shard.name), ("outcome", "version_mismatch")],
+            ),
+            Some(1),
+        );
+    }
+    let counts: Vec<u64> = svc.recovery_report().shards.iter().map(|s| s.recovered_seq).collect();
+    let recovered = predictions(&svc);
+    svc.shutdown();
+    assert_equivalent("retired_envelope", &recovered, &reference_predictions(&stream, &counts));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// When persistence cannot be established at all, the circuit breaker
 /// drops the layer to in-memory-only serving: status `Degraded`, the
 /// `mlq_serve_durability_degraded` gauge raised, the failure recorded —
@@ -561,14 +611,16 @@ fn reordered_and_added_shards_recover_every_record_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A directory written by the per-shard journal layout (committed
-/// fixture: two shards, checkpoints covering 18 records each, and
-/// per-shard `{stem}.wal` tails past them) replays its legacy journals
-/// once, recovers bit-identically, and keeps no `{stem}.wal` afterwards.
+/// A directory written by the retired per-shard journal layout
+/// (committed fixture: two shards, checkpoints covering 18 records each,
+/// and per-shard `{stem}.wal` tails past them) serves every shard from
+/// its checkpoint and reports it as a version mismatch, in the report
+/// and in `mlq_serve_restore_outcome`. The journals are not replayed and
+/// stay on disk, so every restart reports the same.
 #[test]
-fn legacy_per_shard_journals_replay_once_and_are_deleted() {
+fn retired_per_shard_journals_are_reported_not_replayed() {
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/testdata/legacy_journal");
-    let dir = temp_dir("legacy");
+    let dir = temp_dir("retired_wal");
     for entry in std::fs::read_dir(&fixture).unwrap().flatten() {
         std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
     }
@@ -582,28 +634,32 @@ fn legacy_per_shard_journals_replay_once_and_are_deleted() {
     assert_eq!(wal_files(&dir), NAMES.len());
     // The fixture's writer fed this stream in 6-observation steps.
     let stream = workload(0x1E6A, 48);
-    let fed = fed_counts(&stream);
+    let reference = reference_predictions(&stream, &[18, 18]);
 
-    let svc = build_durable(&dir, None);
-    assert_eq!(svc.durability_status(), DurabilityStatus::Active);
-    assert_eq!(wal_files(&dir), 0, "a legacy journal survived the startup checkpoint");
-    for (idx, name) in NAMES.iter().enumerate() {
-        let shard = svc.recovery_report().shards.iter().find(|s| s.name == *name).unwrap();
-        assert_eq!(shard.kind, RestoreKind::Restored, "{}", shard.detail);
-        assert_eq!(shard.checkpoint_seq, 18, "{}", shard.detail);
-        assert_eq!(shard.recovered_seq, fed[idx], "{}", shard.detail);
-        assert_eq!(shard.replayed, fed[idx] - 18);
+    for restart in ["first", "second"] {
+        let svc = build_durable(&dir, None);
+        assert_eq!(svc.durability_status(), DurabilityStatus::Active);
+        assert_eq!(wal_files(&dir), NAMES.len(), "{restart} restart deleted a retired journal");
+        let metrics = svc.metrics();
+        for name in NAMES {
+            let shard = svc.recovery_report().shards.iter().find(|s| s.name == name).unwrap();
+            assert_eq!(shard.kind, RestoreKind::VersionMismatch, "{restart}: {}", shard.detail);
+            assert_eq!((shard.checkpoint_seq, shard.replayed), (18, 0), "{restart}");
+            assert_eq!(shard.recovered_seq, 18, "{restart}");
+            assert!(shard.detail.contains(&format!("{name}.wal is a retired per-shard journal")));
+            assert_eq!(
+                metrics.counter_labeled(
+                    "mlq_serve_restore_outcome",
+                    &[("udf", name), ("outcome", "version_mismatch")],
+                ),
+                Some(1),
+                "{restart}"
+            );
+        }
+        let recovered = predictions(&svc);
+        svc.shutdown();
+        assert_equivalent(&format!("retired_wal_{restart}"), &recovered, &reference);
     }
-    let recovered = predictions(&svc);
-    svc.shutdown();
-    assert_equivalent("legacy", &recovered, &reference_predictions(&stream, &fed));
-
-    // The replayed records now live in a checkpoint: the next restart
-    // replays nothing and serves the same answers.
-    let svc = build_durable(&dir, None);
-    assert!(svc.recovery_report().shards.iter().all(|s| s.replayed == 0));
-    assert_equivalent("legacy_restart", &predictions(&svc), &recovered);
-    svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
