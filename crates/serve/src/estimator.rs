@@ -26,7 +26,7 @@
 //! shutdown.
 
 use crate::queue::{
-    BackpressurePolicy, Feedback, FeedbackQueue, PushOutcome, QueueCounters, QueueMetrics,
+    BackpressurePolicy, Batch, FeedbackQueue, PushOutcome, QueueCounters, QueueMetrics,
 };
 use crate::recovery::{
     prune_generations, recover_dir, write_checkpoint, RecoveryReport, RestoreKind, ShardRecovery,
@@ -394,8 +394,10 @@ impl ShardModels {
             self.applied.inc();
         } else if !quarantine_only(&cpu) || !quarantine_only(&io) {
             // Quarantines are already counted by the guards themselves;
-            // anything else (malformed point that slipped past the
-            // producer, inner-model failure) is an apply error.
+            // anything else (a non-finite coordinate, which the producer
+            // does not check, or an inner-model failure) is an apply
+            // error. A point of the wrong arity never gets here:
+            // `observe_at` refuses it.
             self.apply_errors.inc();
         }
     }
@@ -487,13 +489,13 @@ impl DurabilityCore {
     /// Journals one drained batch with one group commit — one write and
     /// one sync, no matter how many observations or shards the batch
     /// held. Runs *before* the records are applied to the models.
-    fn journal(&mut self, batch: &[Feedback]) {
+    fn journal(&mut self, batch: &mut Batch) {
         if !self.active() {
             return;
         }
-        for fb in batch {
-            if let Some(sd) = self.shards.get(fb.shard) {
-                self.journal.append(fb.shard, &fb.point, fb.cost);
+        for (shard, point, cost) in batch.iter() {
+            if let Some(sd) = self.shards.get(shard) {
+                self.journal.append(shard, point, cost);
                 sd.appended.inc();
             }
         }
@@ -772,6 +774,11 @@ struct MaintainerCore {
     obs: MaintainerObs,
     durability: Option<DurabilityCore>,
     fleet: Option<FleetCore>,
+    /// The buffer [`ConcurrentEstimator::step`] and `shutdown` drain
+    /// into. It keeps its capacity across steps, so steady-state steps
+    /// allocate nothing. The Background thread keeps a [`Batch`] of its
+    /// own.
+    batch: Batch,
 }
 
 impl MaintainerCore {
@@ -779,7 +786,7 @@ impl MaintainerCore {
     /// arbitration round. Arbitration runs after empty batches too: idle
     /// rounds must tick so cold streaks accumulate. Returns the number
     /// of observations consumed.
-    fn run(&mut self, batch: Vec<Feedback>, published: &[RwLock<Arc<ShardSnapshot>>]) -> usize {
+    fn run(&mut self, batch: &mut Batch, published: &[RwLock<Arc<ShardSnapshot>>]) -> usize {
         let n = self.apply_batch(batch, published);
         self.arbitrate(published);
         n
@@ -789,7 +796,7 @@ impl MaintainerCore {
     /// Returns the number of observations consumed.
     fn apply_batch(
         &mut self,
-        batch: Vec<Feedback>,
+        batch: &mut Batch,
         published: &[RwLock<Arc<ShardSnapshot>>],
     ) -> usize {
         if batch.is_empty() {
@@ -802,18 +809,18 @@ impl MaintainerCore {
         // any of it reaches a model. A crash from here on loses only
         // what the journal never acknowledged.
         if let Some(dur) = self.durability.as_mut() {
-            dur.journal(&batch);
+            dur.journal(batch);
         }
-        for fb in batch {
+        for (idx, point, cost) in batch.iter() {
             // Feedback for a hibernated shard wakes it first: the
             // stand-in trees must never absorb observations the real
             // (spilled) models would miss on restore.
-            if self.shards.get(fb.shard).is_some_and(|s| s.hibernated.is_some()) {
-                self.wake_one(fb.shard, published);
+            if self.shards.get(idx).is_some_and(|s| s.hibernated.is_some()) {
+                self.wake_one(idx, published);
             }
-            if let Some(shard) = self.shards.get_mut(fb.shard) {
-                shard.apply(&fb.point, fb.cost);
-                self.touched[fb.shard] = true;
+            if let Some(shard) = self.shards.get_mut(idx) {
+                shard.apply(point, cost);
+                self.touched[idx] = true;
             }
         }
         for idx in 0..self.touched.len() {
@@ -1259,14 +1266,24 @@ impl ConcurrentEstimatorBuilder {
                         existing.detail =
                             format!("no generation could be restored ({reason}); serving fresh");
                     }
-                    None => report.shards.push(ShardRecovery {
-                        name: stem,
-                        kind,
-                        checkpoint_seq: 0,
-                        replayed: 0,
-                        recovered_seq: 0,
-                        detail: format!("unreadable and not registered; not serving ({reason})"),
-                    }),
+                    None => {
+                        registry
+                            .counter(&labeled(
+                                "mlq_serve_restore_outcome",
+                                &[("udf", &stem), ("outcome", kind.label())],
+                            ))
+                            .inc();
+                        report.shards.push(ShardRecovery {
+                            name: stem,
+                            kind,
+                            checkpoint_seq: 0,
+                            replayed: 0,
+                            recovered_seq: 0,
+                            detail: format!(
+                                "unreadable and not registered; not serving ({reason})"
+                            ),
+                        });
+                    }
                 }
             }
         }
@@ -1391,6 +1408,7 @@ impl ConcurrentEstimatorBuilder {
         let processed = Arc::new(Progress::default());
 
         let shard_count = shards.len();
+        let dims = shards.iter().map(|s| s.cpu.inner().config().space.dims()).collect();
         let fleet_core = config.fleet.map(|fleet| FleetCore {
             config: fleet,
             reads: reads.clone(),
@@ -1409,6 +1427,7 @@ impl ConcurrentEstimatorBuilder {
             obs: MaintainerObs::new(&registry),
             durability: durability_core,
             fleet: fleet_core,
+            batch: Batch::default(),
         })));
         // The initial publications above bypass `core.publish`, so
         // `mlq_serve_publishes` counts only feedback-driven republications.
@@ -1420,18 +1439,23 @@ impl ConcurrentEstimatorBuilder {
                 let core = Arc::clone(&core);
                 let handle = thread::Builder::new()
                     .name("mlq-serve-maintainer".into())
-                    .spawn(move || loop {
-                        // Wait outside the lock, so readers waking a
-                        // shard and replication calls only ever contend
-                        // with an applying batch. A step takes everything
-                        // queued, so a backlog costs one publish.
-                        let (batch, finished) = queue.drain(usize::MAX, Duration::from_millis(20));
-                        if finished {
-                            break;
+                    .spawn(move || {
+                        // Reused across drains: once its rings have grown
+                        // to the backlog, the loop allocates nothing.
+                        let mut batch = Batch::default();
+                        loop {
+                            // Wait outside the lock, so readers waking a
+                            // shard and replication calls only ever
+                            // contend with an applying batch. A step takes
+                            // everything queued, so a backlog costs one
+                            // publish.
+                            if queue.drain(&mut batch, usize::MAX, Duration::from_millis(20)) {
+                                break;
+                            }
+                            let mut guard = core.lock().unwrap_or_else(PoisonError::into_inner);
+                            let Some(maintainer) = guard.as_mut() else { break };
+                            maintainer.run(&mut batch, &published);
                         }
-                        let mut guard = core.lock().unwrap_or_else(PoisonError::into_inner);
-                        let Some(maintainer) = guard.as_mut() else { break };
-                        maintainer.run(batch, &published);
                     })
                     .map_err(|e| MlqError::IoFault {
                         reason: format!("spawning maintainer thread: {e}"),
@@ -1445,6 +1469,7 @@ impl ConcurrentEstimatorBuilder {
             names,
             published,
             reads,
+            dims,
             queue,
             processed,
             backpressure: config.backpressure,
@@ -1467,6 +1492,9 @@ pub struct ConcurrentEstimator {
     /// from published snapshots, one per point. Only [`Self::predict_at`]
     /// and [`Self::predict_batch_into_at`] bump them.
     reads: Vec<Counter>,
+    /// Per-shard dimension count, checked on every `observe` before the
+    /// point is queued.
+    dims: Vec<usize>,
     queue: Arc<FeedbackQueue>,
     /// Observations fully applied and republished by the maintainer.
     processed: Arc<Progress>,
@@ -1721,13 +1749,22 @@ impl ConcurrentEstimator {
         self.predict_batch_into_at(self.shard_index(name)?, points, out)
     }
 
+    /// The one feedback offer. A point whose length is not the shard's
+    /// dimension count is refused here, before the journal sees it: the
+    /// guards would reject it anyway, and one longer than
+    /// [`MAX_DIMS`](mlq_core::MAX_DIMS) is a record the journal's reader
+    /// takes for a torn tail, losing every record after it.
     pub(crate) fn observe_at(
         &self,
         shard: usize,
         point: &[f64],
         cost: ExecutionCost,
     ) -> Result<PushOutcome, MlqError> {
-        self.queue.push(Feedback { shard, point: point.to_vec(), cost }, self.backpressure)
+        let expected = self.dims[shard];
+        if point.len() != expected {
+            return Err(MlqError::DimensionMismatch { expected, got: point.len() });
+        }
+        self.queue.push(shard, point, cost, self.backpressure)
     }
 
     /// Offers an observed execution of `name` as feedback. Returns
@@ -1736,7 +1773,11 @@ impl ConcurrentEstimator {
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] for unknown names or after shutdown.
+    /// [`MlqError::InvalidConfig`] for unknown names or after shutdown;
+    /// [`MlqError::DimensionMismatch`] when `point` does not have the
+    /// shard's dimension count. A refused point is neither journaled nor
+    /// queued. Other malformed points (non-finite coordinates) are
+    /// queued and counted as apply errors by the guards.
     pub fn observe(
         &self,
         name: &str,
@@ -1812,8 +1853,11 @@ impl ConcurrentEstimator {
         // The drain happens under the lock, so concurrent steppers apply
         // batches in queue order.
         self.with_core("step", |core| {
-            let (batch, _finished) = self.queue.drain(max.max(1), Duration::ZERO);
-            Ok(core.run(batch, &self.published))
+            let mut batch = std::mem::take(&mut core.batch);
+            self.queue.drain(&mut batch, max.max(1), Duration::ZERO);
+            let applied = core.run(&mut batch, &self.published);
+            core.batch = batch;
+            Ok(applied)
         })
     }
 
@@ -1931,8 +1975,9 @@ impl ConcurrentEstimator {
         // reader waking a shard meanwhile waits for the live snapshot.
         let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
         let core = guard.as_mut()?;
-        let (batch, _finished) = self.queue.drain(usize::MAX, Duration::ZERO);
-        core.apply_batch(batch, &self.published);
+        let mut batch = std::mem::take(&mut core.batch);
+        self.queue.drain(&mut batch, usize::MAX, Duration::ZERO);
+        core.apply_batch(&mut batch, &self.published);
         core.final_publish(&self.published);
         *guard = None;
         Some(ServeReport {

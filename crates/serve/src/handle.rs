@@ -67,7 +67,10 @@ impl EstimatorHandle {
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] after the service shuts down.
+    /// [`MlqError::InvalidConfig`] after the service shuts down;
+    /// [`MlqError::DimensionMismatch`] when `point` does not have the
+    /// UDF's dimension count, in which case nothing is journaled or
+    /// queued.
     pub fn offer(&self, point: &[f64], cost: ExecutionCost) -> Result<PushOutcome, MlqError> {
         self.service.observe_at(self.shard, point, cost)
     }

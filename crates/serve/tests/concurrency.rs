@@ -13,9 +13,10 @@
 use mlq_core::{GuardConfig, Space};
 use mlq_serve::{BackpressurePolicy, ConcurrentEstimator, PushOutcome, ServeConfig};
 use mlq_udfs::ExecutionCost;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn space() -> Space {
     Space::cube(2, 0.0, 100.0).unwrap()
@@ -60,12 +61,15 @@ fn readers_never_observe_a_torn_model() {
         .collect();
 
     let done = Arc::new(AtomicBool::new(false));
+    // Readers that have checked at least one informed prediction.
+    let ready = Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let svc = Arc::clone(&svc);
             let names = names.clone();
             let expected = expected.clone();
             let done = Arc::clone(&done);
+            let ready = Arc::clone(&ready);
             thread::spawn(move || {
                 let mut informed = 0u64;
                 let mut x = (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -84,6 +88,9 @@ fn readers_never_observe_a_torn_model() {
                             names[shard],
                             expected[shard]
                         );
+                        if informed == 0 {
+                            ready.fetch_add(1, Ordering::Relaxed);
+                        }
                         informed += 1;
                     }
                 }
@@ -93,17 +100,37 @@ fn readers_never_observe_a_torn_model() {
         .collect();
 
     // Writer: interleave feedback across shards while readers hammer.
-    for w in 0..WRITES_PER_SHARD {
-        for (i, name) in names.iter().enumerate() {
-            let k = (i + 1) as f64;
-            let p = [((w * 13 + i * 7) % 101) as f64, ((w * 29 + i * 3) % 101) as f64];
-            svc.observe(name, &p, ExecutionCost { cpu: 10.0 * k, io: k, results: 0 }).unwrap();
+    let write = |range: std::ops::Range<usize>| {
+        for w in range {
+            for (i, name) in names.iter().enumerate() {
+                let k = (i + 1) as f64;
+                let p = [((w * 13 + i * 7) % 101) as f64, ((w * 29 + i * 3) % 101) as f64];
+                svc.observe(name, &p, ExecutionCost { cpu: 10.0 * k, io: k, results: 0 }).unwrap();
+            }
         }
+    };
+    // First half, then hold the second half back until every reader has
+    // checked an informed value, so all of them are reading informed
+    // models while the second half is applied.
+    write(0..WRITES_PER_SHARD / 2);
+    svc.flush();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while ready.load(Ordering::Relaxed) < READERS {
+        // A reader that stopped early panicked; its join reports why.
+        if readers.iter().any(|r| r.is_finished()) {
+            break;
+        }
+        if Instant::now() > deadline {
+            done.store(true, Ordering::Relaxed);
+            panic!("readers saw no informed prediction after the first half was flushed");
+        }
+        thread::yield_now();
     }
+    write(WRITES_PER_SHARD / 2..WRITES_PER_SHARD);
     svc.flush();
     done.store(true, Ordering::Relaxed);
     let informed: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-    assert!(informed > 0, "readers should have seen informed predictions");
+    assert!(informed >= READERS as u64, "every reader should have seen informed predictions");
 
     let report = svc.shutdown().unwrap();
     let total_applied: u64 = report.shards.iter().map(|(_, c)| c.applied).sum();

@@ -10,7 +10,7 @@
 //! and a capacity that can never fill, so the final totals are
 //! schedule-independent whatever the OS does with thread interleaving.
 
-use mlq_core::Space;
+use mlq_core::{MlqError, Space};
 use mlq_serve::{
     BackpressurePolicy, ConcurrentEstimator, DurabilityConfig, MaintainerMode, PushOutcome,
     ServeConfig,
@@ -93,6 +93,26 @@ fn scripted_batches_account_exactly() {
     // The applied feedback is visible to readers after the step.
     let v = svc.predict("A", &[1.0, 1.0]).expect("predict").expect("trained");
     assert!((v - 110.0).abs() < 1e-9, "10 cpu + 100 io_weight * 1 io, got {v}");
+}
+
+/// A point of the wrong arity is refused at `observe`, by the handle
+/// and by the service alike: it is never queued, so it reaches neither
+/// the journal nor the guards, and no apply error is counted.
+#[test]
+fn wrong_arity_feedback_is_refused_before_the_queue() {
+    let svc = Arc::new(service(manual_config(), &["A"]));
+    let handle = svc.handle("A").expect("handle");
+    let err = svc.observe("A", &[1.0, 2.0, 3.0], cost(10.0)).expect_err("3-D point accepted");
+    assert_eq!(err, MlqError::DimensionMismatch { expected: 2, got: 3 });
+    let err = handle.offer(&[1.0], cost(10.0)).expect_err("1-D point accepted");
+    assert_eq!(err, MlqError::DimensionMismatch { expected: 2, got: 1 });
+    svc.observe("A", &[1.0, 2.0], cost(10.0)).expect("well-formed point");
+    assert_eq!(svc.step(usize::MAX).expect("step"), 1);
+
+    let m = svc.metrics();
+    assert_eq!(m.counter("mlq_serve_queue_enqueued"), Some(1));
+    assert_eq!(m.counter("mlq_serve_applied{udf=\"A\"}"), Some(1));
+    assert_eq!(m.counter("mlq_serve_apply_errors{udf=\"A\"}"), Some(0));
 }
 
 #[test]

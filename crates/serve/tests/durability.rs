@@ -522,6 +522,92 @@ proptest! {
     }
 }
 
+/// A point of the wrong arity is refused at `observe`, before the
+/// journal sees it. A 17-coordinate point is more than a journal record
+/// holds, so had it been journaled, recovery would have taken it for a
+/// torn tail and dropped every acknowledged record after it.
+#[test]
+fn malformed_feedback_is_refused_and_later_acked_records_recover() {
+    let dir = temp_dir("malformed");
+    let stream = workload(harness_seed() ^ 0xBAD, 11);
+    // No periodic checkpoints, and a crash in the shutdown checkpoint
+    // (the startup round checkpoints each shard once): recovery must
+    // replay every record from the journal.
+    let crash = CrashPoint { op: CrashOp::CheckpointCpu, at: 3, torn_bytes: 0 };
+    let svc = build_registered(&dir, &NAMES, 0, Some(crash), None);
+    for (i, o) in stream.iter().enumerate() {
+        svc.observe(NAMES[o.shard], &o.point, o.cost).unwrap();
+        svc.step(usize::MAX).unwrap();
+        if i == 0 {
+            let err = svc.observe(NAMES[0], &[1.0; 17], o.cost).unwrap_err();
+            assert_eq!(err, mlq_core::MlqError::DimensionMismatch { expected: 2, got: 17 });
+            assert_eq!(svc.step(usize::MAX).unwrap(), 0, "the refused point was queued");
+        }
+    }
+    let fed = fed_counts(&stream);
+    let acked: Vec<u64> = NAMES.iter().map(|n| svc.durable_seq(n).unwrap()).collect();
+    assert_eq!(acked, fed);
+    svc.shutdown();
+    assert_eq!(svc.durability_status(), DurabilityStatus::Crashed);
+
+    let svc = build_durable(&dir, None);
+    let seqs = recovered_seqs(&svc);
+    assert_eq!((seqs[NAMES[0]], seqs[NAMES[1]]), (fed[0], fed[1]));
+    let replayed: u64 = svc.recovery_report().shards.iter().map(|s| s.replayed).sum();
+    assert_eq!(replayed, stream.len() as u64);
+    let recovered = predictions(&svc);
+    svc.shutdown();
+    assert_equivalent("malformed", &recovered, &reference_predictions(&stream, &fed));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpointed UDF that is no longer registered and whose only
+/// generation is corrupt is not served, and says so both in the
+/// recovery report and in `mlq_serve_restore_outcome`.
+#[test]
+fn unregistered_unreadable_stem_counts_a_restore_outcome() {
+    let dir = temp_dir("unregistered");
+    let svc = build_registered(&dir, &["ALPHA", "BETA", "GHOST"], 0, None, None);
+    feed(&svc, &workload(harness_seed() ^ 0x6057, PHASE_A));
+    svc.shutdown();
+
+    let mut ghost: Vec<u64> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.strip_prefix("GHOST.")?.strip_suffix(".meta")?.parse().ok()
+        })
+        .collect();
+    ghost.sort_unstable();
+    let newest = ghost.pop().expect("GHOST was checkpointed");
+    for generation in ghost {
+        for kind in ["meta", "cpu.mlqs", "io.mlqs"] {
+            std::fs::remove_file(dir.join(format!("GHOST.{generation}.{kind}"))).unwrap();
+        }
+    }
+    let path = dir.join(format!("GHOST.{newest}.cpu.mlqs"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let svc = build_durable(&dir, None);
+    let report = svc.recovery_report().shards.iter().find(|s| s.name == "GHOST").unwrap();
+    assert_eq!(report.kind, RestoreKind::CorruptRecovered, "{}", report.detail);
+    assert!(report.detail.contains("not registered"), "{}", report.detail);
+    assert!(svc.predict("GHOST", &[50.0, 50.0]).is_err(), "an unreadable stem is served");
+    assert_eq!(
+        svc.metrics().counter_labeled(
+            "mlq_serve_restore_outcome",
+            &[("udf", "GHOST"), ("outcome", "corrupt_recovered")],
+        ),
+        Some(1),
+    );
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A durable Manual-mode service registering `names` in the given order.
 fn build_registered(
     dir: &PathBuf,
